@@ -95,6 +95,8 @@ inline autoconf_result auto_configure_trimmed(const dissim::dissimilarity_matrix
 /// segments, re-configure on the ECDF trimmed to the current knee and
 /// cluster again — walking down to the "next smaller knee" (Sec. III-E)
 /// until the guard is satisfied or \p max_reconfigurations is exhausted.
+/// The k-NN curves are extracted once per call (or taken from
+/// options.precomputed_knn) and serve every step.
 struct auto_cluster_result {
     cluster_labels labels;
     autoconf_result config;

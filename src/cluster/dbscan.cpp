@@ -83,6 +83,7 @@ cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_pa
             }
         }
     }
+    source.release_range();
     result.cluster_count = static_cast<std::size_t>(next_cluster);
     if (sp.enabled()) {
         sp.count("clusters", result.cluster_count);

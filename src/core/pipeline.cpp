@@ -238,7 +238,7 @@ pipeline_result analyze_seeded_budgeted(const std::vector<byte_vector>& messages
         // which construction backs it is invisible to the results.
         std::optional<dissim::matrix_neighborhood> matrix_view;
         if (!sparse_storage.has_value()) {
-            matrix_view.emplace(*matrix_storage);
+            matrix_view.emplace(*matrix_storage, threads);
         }
         const dissim::neighborhood_source& source =
             sparse_storage.has_value()

@@ -199,6 +199,11 @@ public:
     /// All pairwise dissimilarities (i < j), unsorted.
     std::vector<double> upper_triangle() const;
 
+    /// The n-1 off-diagonal entries of row \p i, in column order, into
+    /// \p out — the layout-agnostic row scan behind the k-NN paths and the
+    /// range prefetch (dissim::matrix_neighborhood).
+    void gather_row(std::size_t i, float* out) const;
+
     /// Raw row-major storage (n*n floats) — lets tests assert bitwise
     /// equality of matrices built at different thread counts. Dense
     /// layout only; triangular storage is reached via upper_triangle_f32.
@@ -216,10 +221,6 @@ private:
     std::size_t tri_cell(std::size_t i, std::size_t j) const {
         return tri_offset(i) + (j - i - 1);
     }
-
-    /// The n-1 off-diagonal entries of row \p i, in column order, into
-    /// \p out — the layout-agnostic row scan behind the k-NN paths.
-    void gather_row(std::size_t i, float* out) const;
 
     void build_dense(std::span<const byte_vector> values, const deadline& dl,
                      std::size_t threads);

@@ -17,10 +17,14 @@
 ///
 /// Two bulk queries let a source amortize work across many pairs or points:
 /// pair_block scores a row strip at once, and prepare_range announces the
-/// epsilon of the neighbors_within sweep that follows. Both default to the
-/// per-item queries, which is exactly right for stored cells.
+/// epsilon of the neighbors_within sweep that follows (release_range ends
+/// it). pair_block defaults to one pair at a time, which is all stored
+/// cells need; both sources override prepare_range to do a sweep's range
+/// work up front on every lane — the sparse one rescans its lists, the
+/// matrix one fills a bit matrix of the cells within epsilon.
 ///
-/// Contract (every implementation, verified by tests/test_dissim_sparse.cpp):
+/// Contract (every implementation, verified by tests/test_dissim_sparse.cpp
+/// and tests/test_dissim_neighborhood.cpp):
 ///  - dissimilarity(i, j) returns the value the matrix cell would hold: the
 ///    kernel result narrowed to f32 storage precision and widened back, so
 ///    both sources are bitwise interchangeable. pair_block returns the same
@@ -30,10 +34,10 @@
 ///    neighbor set DBSCAN's row scan produces, in the same order, so the
 ///    BFS expansion and therefore the labels are identical. prepare_range
 ///    never changes an answer, only when its work happens.
-///  - kth_nn / kth_nn_many return the same doubles the matrix extraction
-///    yields, for every k up to knn_cap(); beyond the cap they throw
-///    knn_cap_error (typed, so the caller can distinguish "this source
-///    cannot serve k" from a malformed request).
+///  - kth_nn_many returns the same doubles the matrix extraction yields,
+///    for every k up to knn_cap(); beyond the cap it throws knn_cap_error
+///    (typed, so the caller can distinguish "this source cannot serve k"
+///    from a malformed request).
 #pragma once
 
 #include <cstdint>
@@ -42,6 +46,7 @@
 #include <vector>
 
 #include "dissim/matrix.hpp"
+#include "mem/mem.hpp"
 #include "util/error.hpp"
 
 namespace ftc::dissim {
@@ -132,17 +137,18 @@ public:
     /// either way. The default does nothing.
     virtual void prepare_range(double /*epsilon*/) const {}
 
-    /// Largest k kth_nn/kth_nn_many can serve (requests are clamped to
-    /// size()-1 first, so a cap >= size()-1 means unlimited).
+    /// End the sweep prepare_range announced: a source may drop what it
+    /// built for that epsilon alone. Answers are unchanged either way. The
+    /// default does nothing.
+    virtual void release_range() const {}
+
+    /// Largest k kth_nn_many can serve (requests are clamped to size()-1
+    /// first, so a cap >= size()-1 means unlimited).
     virtual std::size_t knn_cap() const = 0;
 
-    /// Per-point k-th-nearest-neighbor dissimilarity (semantics of
-    /// dissimilarity_matrix::kth_nn). Throws knn_cap_error when the clamped
-    /// k exceeds knn_cap().
-    virtual std::vector<double> kth_nn(std::size_t k, std::size_t threads = 1) const = 0;
-
     /// All curves k = 1..k_max in one batch (semantics of
-    /// dissimilarity_matrix::kth_nn_many). Throws knn_cap_error when the
+    /// dissimilarity_matrix::kth_nn_many: curve [k-1] is every point's
+    /// k-th-nearest-neighbor dissimilarity). Throws knn_cap_error when the
     /// clamped k_max exceeds knn_cap().
     virtual std::vector<std::vector<double>> kth_nn_many(std::size_t k_max,
                                                          std::size_t threads = 1) const = 0;
@@ -151,9 +157,16 @@ public:
 /// neighborhood_source over a prebuilt dense/triangular matrix: every query
 /// forwards to the stored cells. Does not own the matrix; it must outlive
 /// the adapter.
+///
+/// prepare_range(eps) fills, on \p threads lanes, an n x ceil(n/64)-word
+/// bit matrix of cells <= eps (tracked; 1/32 of the dense f32 matrix), and
+/// neighbors_within at that eps decodes a bit row instead of scanning a
+/// matrix row. When the governor cannot fit the bits the sweep stays on the
+/// row scans; release_range frees them.
 class matrix_neighborhood final : public neighborhood_source {
 public:
-    explicit matrix_neighborhood(const dissimilarity_matrix& matrix) : matrix_(matrix) {}
+    explicit matrix_neighborhood(const dissimilarity_matrix& matrix, std::size_t threads = 1)
+        : matrix_(matrix), threads_(threads) {}
 
     std::size_t size() const override { return matrix_.size(); }
 
@@ -164,12 +177,17 @@ public:
     std::vector<std::uint32_t> neighbors_within(std::size_t i,
                                                 double epsilon) const override;
 
+    void prepare_range(double epsilon) const override;
+
+    void release_range() const override;
+
+    /// True while neighbors_within(·, epsilon) is served from prepared bits.
+    bool range_prepared(double epsilon) const {
+        return !range_bits_.empty() && epsilon == range_epsilon_;
+    }
+
     /// A matrix row holds every neighbor, so any clamped k is servable.
     std::size_t knn_cap() const override { return matrix_.size(); }
-
-    std::vector<double> kth_nn(std::size_t k, std::size_t threads = 1) const override {
-        return matrix_.kth_nn(k, threads);
-    }
 
     std::vector<std::vector<double>> kth_nn_many(std::size_t k_max,
                                                  std::size_t threads = 1) const override {
@@ -178,6 +196,11 @@ public:
 
 private:
     const dissimilarity_matrix& matrix_;
+    std::size_t threads_ = 1;
+    /// Row i's bit j (word i * ceil(n/64) + j / 64) is set iff
+    /// at(i, j) <= range_epsilon_; empty when no sweep is prepared.
+    mutable mem::vector<std::uint64_t> range_bits_;
+    mutable double range_epsilon_ = 0.0;
 };
 
 }  // namespace ftc::dissim

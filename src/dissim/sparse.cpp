@@ -549,25 +549,6 @@ void sparse_neighborhood::prepare_range(double epsilon) const {
     cache_charge_ = mem::charge(cache_bytes_, "dissim.sparse.cache");
 }
 
-std::vector<double> sparse_neighborhood::kth_nn(std::size_t k,
-                                                std::size_t /*threads*/) const {
-    expects(k >= 1, "kth_nn: k must be at least 1");
-    if (n_ < 2) {
-        return {};
-    }
-    const std::size_t kk = std::min(k, n_ - 1);
-    const std::size_t held = std::min<std::size_t>(capped_.cap, n_ - 1);
-    if (kk > held) {
-        throw knn_cap_error(message("kth_nn: k ", k, " exceeds the sparse neighbor cap ",
-                                    capped_.cap, " (", held, " neighbors held per point)"));
-    }
-    std::vector<double> out(n_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-        out[i] = static_cast<double>(capped_.lists[i][kk - 1].d);
-    }
-    return out;
-}
-
 std::vector<std::vector<double>> sparse_neighborhood::kth_nn_many(
     std::size_t k_max, std::size_t /*threads*/) const {
     expects(k_max >= 1, "kth_nn_many: k_max must be at least 1");

@@ -17,7 +17,7 @@
 ///    collects its min(cap, n−1) nearest neighbors exactly — the same f32
 ///    order statistics a dense row selection yields — shrinking the prune
 ///    ceiling as the candidate heap fills. This serves every
-///    kth_nn/kth_nn_many request up to the cap bitwise identically to the
+///    kth_nn_many request up to the cap bitwise identically to the
 ///    matrix path.
 ///  - **Phase 2: cached range queries.** neighbors_within(i, eps) is exact
 ///    at ANY epsilon: served from the phase-1 list while eps lies below the
@@ -93,7 +93,6 @@ public:
                                                 double epsilon) const override;
     void prepare_range(double epsilon) const override;
     std::size_t knn_cap() const override { return capped_.cap; }
-    std::vector<double> kth_nn(std::size_t k, std::size_t threads = 1) const override;
     std::vector<std::vector<double>> kth_nn_many(std::size_t k_max,
                                                  std::size_t threads = 1) const override;
 

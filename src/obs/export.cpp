@@ -238,7 +238,7 @@ help_registry& helps() {
             {"ckpt.stages_restored_total", "Pipeline stages restored from a checkpoint"},
             {"ckpt.tiles_spilled_total", "Triangular-matrix tiles spilled to the checkpoint"},
             {"cluster.dbscan_runs_total", "DBSCAN executions including epsilon re-runs"},
-            {"cluster.knn_reused_total", "Epsilon re-runs served from the cached k-NN"},
+            {"cluster.knn_reused_total", "Epsilon configurations served from a k-NN batch"},
             {"cluster.reconfigurations_total", "Auto-reconfigurations of DBSCAN parameters"},
             {"cluster.refine_merges_total", "Cluster merges during refinement"},
             {"cluster.refine_splits_total", "Cluster splits during refinement"},

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
+#include "dissim/matrix.hpp"
+#include "protocols/registry.hpp"
+#include "segmentation/segment.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -195,6 +199,101 @@ TEST(AutoCluster, OversizeWalkNeverAcceptsZeroClusters) {
     const auto m = line_matrix(xs);
     const auto_cluster_result r = auto_cluster(m);
     EXPECT_GE(r.labels.cluster_count, 1u);
+}
+
+/// Counts the k-NN queries auto_cluster makes; every query is forwarded.
+class counting_source final : public dissim::neighborhood_source {
+public:
+    explicit counting_source(const dissim::neighborhood_source& inner) : inner_(inner) {}
+    std::size_t size() const override { return inner_.size(); }
+    double dissimilarity(std::size_t i, std::size_t j) const override {
+        return inner_.dissimilarity(i, j);
+    }
+    std::vector<std::uint32_t> neighbors_within(std::size_t i, double eps) const override {
+        return inner_.neighbors_within(i, eps);
+    }
+    void prepare_range(double eps) const override { inner_.prepare_range(eps); }
+    void release_range() const override { inner_.release_range(); }
+    std::size_t knn_cap() const override { return inner_.knn_cap(); }
+    std::vector<std::vector<double>> kth_nn_many(std::size_t k_max,
+                                                 std::size_t threads) const override {
+        ++kth_nn_many_calls;
+        return inner_.kth_nn_many(k_max, threads);
+    }
+
+    mutable std::size_t kth_nn_many_calls = 0;
+
+private:
+    const dissim::neighborhood_source& inner_;
+};
+
+std::uint64_t label_hash(const std::vector<int>& labels) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a over label + 1
+    for (const int l : labels) {
+        h ^= static_cast<std::uint64_t>(static_cast<std::int64_t>(l) + 1);
+        h *= 0x100000001b3ULL;
+    }
+    return h;
+}
+
+TEST(AutoCluster, OneKnnExtractionServesEveryReconfiguration) {
+    // SMB ground-truth segments (300 uniques): the oversize guard walks
+    // down three times. Epsilon, labels and the walk length are pinned
+    // from the implementation that re-extracted the curves at every step.
+    const protocols::trace t = protocols::generate_trace("SMB", 100, 7);
+    const dissim::unique_segments unique = dissim::condense(
+        segmentation::message_bytes(t), segmentation::segments_from_annotations(t));
+    const dissim::dissimilarity_matrix m(unique.values);
+    for (const std::size_t threads : {1u, 4u}) {
+        const dissim::matrix_neighborhood matrix(m, threads);
+        const counting_source source(matrix);
+        autoconf_options options;
+        options.threads = threads;
+        const auto_cluster_result r = auto_cluster(source, options);
+        EXPECT_EQ(source.kth_nn_many_calls, 1u);
+        EXPECT_EQ(r.reconfigurations, 3u);
+        EXPECT_EQ(r.config.epsilon, 0x1.016257d74e536p-2);
+        EXPECT_EQ(r.labels.cluster_count, 6u);
+        EXPECT_EQ(r.labels.noise_count(), 53u);
+        EXPECT_EQ(label_hash(r.labels.labels), 0xf1bce5c4720bdcfeULL);
+    }
+}
+
+TEST(AutoCluster, UndersizeGuardReadsTheExtractedCurves) {
+    // The micro-knee input of UndersizeGuardEscalatesMicroKnee: the guard's
+    // median min_samples-NN distance comes from the one batch. Values are
+    // pinned from the implementation that queried that curve separately.
+    rng rand(11);
+    std::vector<double> xs;
+    for (int p = 0; p < 30; ++p) {
+        const double center = 0.03 * p + rand.uniform_real(-0.002, 0.002);
+        xs.push_back(center);
+        xs.push_back(center + 0.0005);
+    }
+    const auto m = line_matrix(xs);
+    const dissim::matrix_neighborhood matrix(m);
+    const counting_source source(matrix);
+    const auto_cluster_result r = auto_cluster(source);
+    EXPECT_EQ(source.kth_nn_many_calls, 1u);
+    EXPECT_EQ(r.reconfigurations, 1u);
+    EXPECT_EQ(r.config.epsilon, 0x1.f3289d77b931cp-6);
+    EXPECT_EQ(r.labels.cluster_count, 9u);
+    EXPECT_EQ(label_hash(r.labels.labels), 0xb972d199d6b43eacULL);
+}
+
+TEST(AutoCluster, PrecomputedCurvesSkipTheExtraction) {
+    rng rand(5);
+    const auto m = line_matrix(blobs_data(rand, 30));
+    const dissim::matrix_neighborhood matrix(m);
+    const std::vector<std::vector<double>> curves = matrix.kth_nn_many(knn_k_max(m.size()));
+    const counting_source source(matrix);
+    autoconf_options options;
+    options.precomputed_knn = &curves;
+    const auto_cluster_result with = auto_cluster(source, options);
+    EXPECT_EQ(source.kth_nn_many_calls, 0u);
+    const auto_cluster_result without = auto_cluster(m);
+    EXPECT_EQ(with.config.epsilon, without.config.epsilon);
+    EXPECT_EQ(with.labels.labels, without.labels.labels);
 }
 
 TEST(Autoconf, SmoothedCurvesAreMonotone) {

@@ -74,10 +74,12 @@ TEST(SparseNeighborhood, KthNnMatchesDenseForEveryCoveredK) {
     const dissimilarity_matrix matrix(values);
     const std::size_t k_max = cluster::knn_k_max(values.size());
     const sparse_neighborhood sparse = make_sparse(values, k_max);
+    const std::vector<std::vector<double>> curves = sparse.kth_nn_many(k_max);
+    ASSERT_EQ(curves.size(), k_max);
     for (std::size_t k = 1; k <= k_max; ++k) {
-        EXPECT_EQ(sparse.kth_nn(k), matrix.kth_nn(k)) << "k=" << k;
+        EXPECT_EQ(curves[k - 1], matrix.kth_nn(k)) << "k=" << k;
     }
-    EXPECT_EQ(sparse.kth_nn_many(k_max), matrix.kth_nn_many(k_max));
+    EXPECT_EQ(curves, matrix.kth_nn_many(k_max));
 }
 
 TEST(SparseNeighborhood, DissimilarityMatchesMatrixCells) {
@@ -320,11 +322,11 @@ TEST(SparseAutoconf, UnderCappedSourceThrowsTypedError) {
     const std::size_t k_max = cluster::knn_k_max(values.size());
     ASSERT_GT(k_max, 2u);
     const sparse_neighborhood sparse = make_sparse(values, 2);
-    EXPECT_THROW(sparse.kth_nn(k_max), knn_cap_error);
     EXPECT_THROW(sparse.kth_nn_many(k_max), knn_cap_error);
     EXPECT_THROW(cluster::auto_configure(sparse), knn_cap_error);
+    EXPECT_THROW(cluster::auto_cluster(sparse), knn_cap_error);
     // Covered requests still work on the same under-capped source.
-    EXPECT_EQ(sparse.kth_nn(2).size(), values.size());
+    EXPECT_EQ(sparse.kth_nn_many(2).back().size(), values.size());
 }
 
 TEST(SparseNeighborhood, ParseAndNameRoundTripModes) {

@@ -10,9 +10,11 @@
 #include <vector>
 
 #include "ckpt/manager.hpp"
+#include "cluster/autoconf.hpp"
 #include "core/pipeline.hpp"
 #include "dissim/matrix.hpp"
 #include "mem/mem.hpp"
+#include "obs/obs.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
 #include "util/check.hpp"
@@ -291,6 +293,52 @@ TEST(MemDegrade, DedupRungPreservesClusteringBitwise) {
     snap.cluster_count = degraded.final_labels.cluster_count;
     snap.peak_bytes = baseline.peak_bytes;  // not under test here
     expect_identical(baseline, snap);
+}
+
+// --- The dense range prefetch is an optimization, never a rung ----------
+
+/// Range prefetches (dissim::matrix_neighborhood::prepare_range) recorded.
+std::size_t prefetch_spans(const obs::scoped_recorder& scoped) {
+    std::size_t count = 0;
+    for (const obs::span_record& rec : scoped.rec().trace().spans) {
+        count += rec.name == "dissim.matrix.prefetch" ? 1 : 0;
+    }
+    return count;
+}
+
+TEST(MemDegrade, RangePrefetchIsSkippedWhenItsBitsDoNotFit) {
+    // Clustering without refinement: once the dense matrix stands, the
+    // only tracked allocations left are the k-NN curve batch and the range
+    // bits, and the bits are larger. A cap one byte below the uncapped peak
+    // leaves headroom for everything but the bits.
+    const scenario s = make_unique_scenario(500);
+    core::pipeline_options opt;
+    opt.apply_refinement = false;
+    labels_snapshot baseline;
+    std::size_t uncapped_prefetches = 0;
+    {
+        const obs::scoped_recorder scoped;
+        baseline = snapshot_run(s, opt);
+        uncapped_prefetches = prefetch_spans(scoped);
+    }
+    const std::uint64_t n = baseline.values.size();
+    const std::uint64_t bits = n * ((n + 63) / 64) * sizeof(std::uint64_t);
+    ASSERT_GT(bits, cluster::knn_k_max(n) * n * sizeof(double));
+
+    opt.max_memory = static_cast<std::size_t>(baseline.peak_bytes - 1);
+    labels_snapshot capped;
+    std::size_t capped_prefetches = 0;
+    {
+        const obs::scoped_recorder scoped;
+        capped = snapshot_run(s, opt);
+        capped_prefetches = prefetch_spans(scoped);
+    }
+    expect_identical(baseline, capped);
+    EXPECT_LE(capped.peak_bytes, opt.max_memory);
+#ifndef FTC_OBS_DISABLE
+    EXPECT_GT(uncapped_prefetches, 0u);
+    EXPECT_EQ(capped_prefetches, 0u);
+#endif
 }
 
 TEST(MemDegrade, ImpossibleBudgetFailsWithTypedPartialProgress) {
