@@ -1,7 +1,6 @@
 #include "dissim/matrix.hpp"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 #include "dissim/kernel.hpp"
@@ -33,44 +32,17 @@ std::uint64_t unique_footprint_bytes(const unique_segments& u) {
     return bytes;
 }
 
-}  // namespace
-
-unique_segments condense(const std::vector<byte_vector>& messages,
-                         const segmentation::message_segments& segs,
-                         std::size_t min_length) {
-    unique_segments out;
-    std::map<byte_vector, std::size_t> index;
-    for (const std::vector<segmentation::segment>& per_message : segs) {
-        for (const segmentation::segment& seg : per_message) {
-            if (seg.length < min_length) {
-                ++out.short_segments;
-                continue;
-            }
-            const byte_view bytes = segmentation::segment_bytes(messages, seg);
-            byte_vector value(bytes.begin(), bytes.end());
-            const auto [it, inserted] = index.try_emplace(std::move(value), out.values.size());
-            if (inserted) {
-                out.values.emplace_back(it->first);
-                out.occurrences.emplace_back();
-            }
-            out.occurrences[it->second].push_back(seg);
-        }
-    }
-    out.footprint = mem::charge(unique_footprint_bytes(out), "dissim.unique");
-    return out;
-}
-
-unique_segments condense_weighted(const std::vector<byte_vector>& messages,
-                                  const segmentation::message_segments& segs,
-                                  std::size_t min_length) {
-    unique_segments out;
-    out.occurrences_elided = true;
-
-    // Open-addressed digest index over out.values: slots hold value indices,
-    // probed linearly from the FNV-1a64 digest of the bytes, byte-compared
-    // on hit (digests dedup candidates, bytes decide). Indices are assigned
-    // at first sight of a value — the same rule condense() applies — so
-    // out.values is identical to the full form's, entry for entry.
+/// Dedup walk shared by both condensation forms: every segment of at least
+/// \p min_length bytes, in trace order, is looked up in an open-addressed
+/// digest index over out.values — slots hold value indices, probed linearly
+/// from the FNV-1a64 digest of the bytes, byte-compared on hit (digests
+/// dedup candidates, bytes decide). A value is appended at first sight, so
+/// out.values is the same vector in the same first-occurrence order for
+/// both forms. \p visit(index, first_sight, seg) records the occurrence.
+template <typename Visit>
+void dedup_segments(const std::vector<byte_vector>& messages,
+                    const segmentation::message_segments& segs, std::size_t min_length,
+                    unique_segments& out, Visit&& visit) {
     constexpr std::uint32_t kEmpty = 0xffffffffu;
     std::vector<std::uint32_t> slots(64, kEmpty);
 
@@ -115,18 +87,50 @@ unique_segments condense_weighted(const std::vector<byte_vector>& messages,
                 if (idx == kEmpty) {
                     slots[at] = static_cast<std::uint32_t>(out.values.size());
                     out.values.emplace_back(bytes.begin(), bytes.end());
-                    out.multiplicities.push_back(1);
+                    visit(out.values.size() - 1, true, seg);
                     break;
                 }
                 if (out.values[idx].size() == bytes.size() &&
                     std::equal(bytes.begin(), bytes.end(), out.values[idx].begin())) {
-                    ++out.multiplicities[idx];
+                    visit(idx, false, seg);
                     break;
                 }
                 at = (at + 1) & mask;
             }
         }
     }
+}
+
+}  // namespace
+
+unique_segments condense(const std::vector<byte_vector>& messages,
+                         const segmentation::message_segments& segs,
+                         std::size_t min_length) {
+    unique_segments out;
+    dedup_segments(messages, segs, min_length, out,
+                   [&](std::size_t idx, bool first, const segmentation::segment& seg) {
+                       if (first) {
+                           out.occurrences.emplace_back();
+                       }
+                       out.occurrences[idx].push_back(seg);
+                   });
+    out.footprint = mem::charge(unique_footprint_bytes(out), "dissim.unique");
+    return out;
+}
+
+unique_segments condense_weighted(const std::vector<byte_vector>& messages,
+                                  const segmentation::message_segments& segs,
+                                  std::size_t min_length) {
+    unique_segments out;
+    out.occurrences_elided = true;
+    dedup_segments(messages, segs, min_length, out,
+                   [&](std::size_t idx, bool first, const segmentation::segment&) {
+                       if (first) {
+                           out.multiplicities.push_back(1);
+                       } else {
+                           ++out.multiplicities[idx];
+                       }
+                   });
     obs::counter_add("mem.dedup_condensations_total", 1.0);
     out.footprint = mem::charge(unique_footprint_bytes(out), "dissim.unique.weighted");
     return out;
@@ -197,9 +201,37 @@ struct row_batcher {
     }
 };
 
-}  // namespace
+/// Rows (and columns) per block of the dense mirror: a 64×64 float tile is
+/// 16 KiB, so a tile's reads and writes both stay cache-resident.
+constexpr std::size_t kMirrorBlock = 64;
 
-namespace {
+/// Complete a row-major n*n matrix whose strict upper triangle is final:
+/// block row b (rows [64b, 64b+64)) stores its diagonal zeros, then copies
+/// its upper cells tile by tile into the lower cells of columns
+/// [64b, 64b+64). Block rows write disjoint cells and read only upper cells,
+/// which nothing here writes, so they run on \p lanes concurrently and the
+/// result is bitwise identical at any lane count. Returns the block count.
+std::size_t mirror_upper(float* data, std::size_t n, std::size_t lanes) {
+    const std::size_t blocks = (n + kMirrorBlock - 1) / kMirrorBlock;
+    util::parallel_for(blocks, 1, lanes, [&](std::size_t begin, std::size_t end) {
+        for (std::size_t b = begin; b < end; ++b) {
+            const std::size_t ib = b * kMirrorBlock;
+            const std::size_t ie = std::min(ib + kMirrorBlock, n);
+            for (std::size_t i = ib; i < ie; ++i) {
+                data[i * n + i] = 0.0f;
+            }
+            for (std::size_t jb = ib; jb < n; jb += kMirrorBlock) {
+                const std::size_t je = std::min(jb + kMirrorBlock, n);
+                for (std::size_t i = ib; i < ie; ++i) {
+                    for (std::size_t j = std::max(jb, i + 1); j < je; ++j) {
+                        data[j * n + i] = data[i * n + j];
+                    }
+                }
+            }
+        }
+    });
+    return blocks;
+}
 
 build_options dense_options(std::size_t threads) {
     build_options opts;
@@ -224,11 +256,13 @@ dissimilarity_matrix::dissimilarity_matrix(std::span<const byte_vector> values,
     // The footprint-dominant allocation of the whole pipeline: tracked, so
     // an active memory governor turns "this matrix cannot fit" into
     // ftc::memory_budget_exceeded_error here instead of an OOM kill later.
+    // Left unwritten (mem::buffer): each build writes every cell once, so
+    // the pages are first touched by the lanes that fill them.
     if (layout_ == layout::dense) {
-        data_.assign(n_ * n_, 0.0f);
+        data_.resize(n_ * n_);
         build_dense(values, dl, opts.threads);
     } else {
-        data_.assign(n_ * (n_ - (n_ > 0 ? 1 : 0)) / 2, 0.0f);
+        data_.resize(n_ * (n_ - (n_ > 0 ? 1 : 0)) / 2);
         build_triangular(values, opts, dl);
     }
 }
@@ -282,21 +316,10 @@ void dissimilarity_matrix::build_dense(std::span<const byte_vector> values,
         }
     });
     // The fan-out writes only the upper triangle (a strided mirror store
-    // per pair would miss the cache across the whole matrix); mirror once
-    // here in 64×64 blocks so reads and writes both stay resident. Pure
-    // copies of already-final cells — deterministic at any thread count.
-    constexpr std::size_t kMirrorBlock = 64;
-    for (std::size_t ib = 0; ib < n_; ib += kMirrorBlock) {
-        const std::size_t ie = std::min(ib + kMirrorBlock, n_);
-        for (std::size_t jb = ib; jb < n_; jb += kMirrorBlock) {
-            const std::size_t je = std::min(jb + kMirrorBlock, n_);
-            for (std::size_t i = ib; i < ie; ++i) {
-                for (std::size_t j = std::max(jb, i + 1); j < je; ++j) {
-                    data_[j * n_ + i] = data_[i * n_ + j];
-                }
-            }
-        }
-    }
+    // per pair would miss the cache across the whole matrix); the blocked
+    // mirror then writes the diagonal and the lower triangle on every lane.
+    obs::span mirror("dissim.matrix.mirror");
+    mirror.count("blocks", mirror_upper(data_.data(), n_, lanes));
 }
 
 void dissimilarity_matrix::build_triangular(std::span<const byte_vector> values,
@@ -381,14 +404,14 @@ dissimilarity_matrix dissimilarity_matrix::from_upper(std::span<const float> upp
         m.data_.assign(upper.begin(), upper.end());
         return m;
     }
-    m.data_.assign(n * n, 0.0f);
+    // Upper rows in place (contiguous runs), then the build's own mirror.
+    m.data_.resize(n * n);
     std::size_t r = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        for (std::size_t j = i + 1; j < n; ++j, ++r) {
-            m.data_[i * n + j] = upper[r];
-            m.data_[j * n + i] = upper[r];
-        }
+        std::copy_n(upper.data() + r, n - 1 - i, m.data_.data() + i * n + i + 1);
+        r += n - 1 - i;
     }
+    mirror_upper(m.data_.data(), n, 1);
     return m;
 }
 

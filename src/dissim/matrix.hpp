@@ -73,13 +73,14 @@ unique_segments condense(const std::vector<byte_vector>& messages,
                          const segmentation::message_segments& segs,
                          std::size_t min_length = 2);
 
-/// Memory-lean condensation: digest-indexed dedup that records how *often*
-/// each value occurs but not *where* — the per-occurrence segment lists
-/// (24 bytes each, one per concrete segment in the trace) are the
-/// footprint-dominant part of the full form. Produces `values` bitwise
-/// identical to condense() in the identical first-occurrence order (both
-/// assign indices at first sight of a value), so clustering output is
-/// provably unchanged; only occurrence-position consumers degrade.
+/// Memory-lean condensation: condense()'s digest-indexed dedup, recording
+/// how *often* each value occurs but not *where* — the per-occurrence
+/// segment lists (24 bytes each, one per concrete segment in the trace) are
+/// the footprint-dominant part of the full form. Produces `values` bitwise
+/// identical to condense() in the identical first-occurrence order (one
+/// dedup walk assigns indices at first sight of a value for both), so
+/// clustering output is provably unchanged; only occurrence-position
+/// consumers degrade.
 unique_segments condense_weighted(const std::vector<byte_vector>& messages,
                                   const segmentation::message_segments& segs,
                                   std::size_t min_length = 2);
@@ -229,7 +230,10 @@ private:
 
     std::size_t n_ = 0;
     layout layout_ = layout::dense;
-    mem::vector<float> data_;
+    /// Written in full before any read: the builds' fan-outs cover every
+    /// stored cell, and the dense mirror (mirror_upper) every cell below
+    /// the diagonal plus the diagonal itself, so no zero-fill pass runs.
+    mem::buffer<float> data_;
 };
 
 }  // namespace ftc::dissim

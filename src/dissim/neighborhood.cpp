@@ -172,7 +172,7 @@ void matrix_neighborhood::prepare_range(double epsilon) const {
 }
 
 void matrix_neighborhood::release_range() const {
-    mem::vector<std::uint64_t>().swap(range_bits_);
+    mem::buffer<std::uint64_t>().swap(range_bits_);
 }
 
 }  // namespace ftc::dissim

@@ -199,7 +199,7 @@ private:
     std::size_t threads_ = 1;
     /// Row i's bit j (word i * ceil(n/64) + j / 64) is set iff
     /// at(i, j) <= range_epsilon_; empty when no sweep is prepared.
-    mutable mem::vector<std::uint64_t> range_bits_;
+    mutable mem::buffer<std::uint64_t> range_bits_;
     mutable double range_epsilon_ = 0.0;
 };
 

@@ -39,6 +39,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -246,5 +247,35 @@ struct tracking_allocator {
 /// storage and other footprint-dominant buffers.
 template <typename T>
 using vector = std::vector<T, tracking_allocator<T>>;
+
+/// tracking_allocator whose no-argument construct default-initializes, so
+/// resize() leaves trivially constructible elements unwritten instead of
+/// zeroing them (constructions with arguments take allocator_traits'
+/// default path). Allocation, release, charges, governor checks and fault
+/// plans are exactly those of tracking_allocator.
+template <typename T>
+struct default_init_allocator : tracking_allocator<T> {
+    default_init_allocator() noexcept = default;
+    template <typename U>
+    default_init_allocator(const default_init_allocator<U>&) noexcept {}
+
+    template <typename U>
+    void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+        ::new (static_cast<void*>(p)) U;
+    }
+
+    template <typename U>
+    bool operator==(const default_init_allocator<U>&) const noexcept {
+        return true;
+    }
+};
+
+/// Tracked vector whose resize() does not initialize new trivially
+/// constructible elements — for footprint-dominant storage that the owner
+/// writes in full before any read (the dense matrix cells, the range bit
+/// rows). Reading a cell the owner has not yet written is undefined; any
+/// buffer that is read before it is fully written must be a mem::vector.
+template <typename T>
+using buffer = std::vector<T, default_init_allocator<T>>;
 
 }  // namespace ftc::mem

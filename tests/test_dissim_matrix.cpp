@@ -5,8 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <limits>
+#include <set>
 
 #include "dissim/canberra.hpp"
+#include "protocols/registry.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -99,6 +104,42 @@ TEST(Condense, EmptySegmentationYieldsEmptyResult) {
     const unique_segments u = condense(messages, segmentation::message_segments{});
     EXPECT_EQ(u.size(), 0u);
     EXPECT_EQ(u.short_segments, 0u);
+}
+
+TEST(Condense, FullAndWeightedAgreeOnValues) {
+    for (const char* protocol : {"DNS", "SMB"}) {
+        const protocols::trace t = protocols::generate_trace(protocol, 300, 5);
+        const std::vector<byte_vector> messages = segmentation::message_bytes(t);
+        const segmentation::message_segments segs = segmentation::segments_from_annotations(t);
+        const unique_segments full = condense(messages, segs);
+        const unique_segments weighted = condense_weighted(messages, segs);
+
+        // First-occurrence order, from a plain walk over the trace.
+        std::vector<byte_vector> first_seen;
+        std::set<byte_vector> seen;
+        for (const auto& per_message : segs) {
+            for (const segment& seg : per_message) {
+                const byte_view b = segmentation::segment_bytes(messages, seg);
+                byte_vector v(b.begin(), b.end());
+                if (v.size() >= 2 && seen.insert(v).second) {
+                    first_seen.push_back(std::move(v));
+                }
+            }
+        }
+        ASSERT_GT(first_seen.size(), 10u) << protocol;
+        EXPECT_EQ(full.values, first_seen) << protocol;
+        EXPECT_EQ(weighted.values, first_seen) << protocol;
+        EXPECT_EQ(full.short_segments, weighted.short_segments) << protocol;
+        for (std::size_t i = 0; i < full.size(); ++i) {
+            ASSERT_EQ(full.occurrence_count(i), weighted.occurrence_count(i)) << protocol;
+            for (const segment& seg : full.occurrences[i]) {
+                const byte_view b = segmentation::segment_bytes(messages, seg);
+                ASSERT_TRUE(std::equal(b.begin(), b.end(), full.values[i].begin(),
+                                       full.values[i].end()))
+                    << protocol << " value " << i;
+            }
+        }
+    }
 }
 
 TEST(Matrix, SymmetricWithZeroDiagonal) {
@@ -218,6 +259,66 @@ TEST(Matrix, UpperTriangleHasExpectedSize) {
     for (double d : tri) {
         EXPECT_GE(d, 0.0);
         EXPECT_LE(d, 1.0);
+    }
+}
+
+/// Fill a freshly allocated block of \p cells floats with NaN and free it,
+/// so the matrix allocation that follows likely reuses the same heap chunk
+/// and any cell the build leaves unwritten reads back as NaN. The stores
+/// are volatile so the compiler cannot drop the dead block.
+void poison_heap(std::size_t cells) {
+    std::vector<float> block(cells);
+    volatile float* p = block.data();
+    for (std::size_t k = 0; k < cells; ++k) {
+        p[k] = std::numeric_limits<float>::quiet_NaN();
+    }
+}
+
+TEST(Matrix, DenseBuildWritesEveryCell) {
+    rng rand(29);
+    for (const std::size_t n : {0u, 1u, 2u, 63u, 64u, 65u, 129u, 181u}) {
+        std::vector<byte_vector> values;
+        for (std::size_t i = 0; i < n; ++i) {
+            values.push_back(rand.bytes(2 + rand() % 9));
+        }
+        const std::vector<float> serial_upper = dissimilarity_matrix(values).upper_triangle_f32();
+        for (const std::size_t threads : {1u, 2u, 4u}) {
+            for (const layout storage : {layout::dense, layout::triangular}) {
+                SCOPED_TRACE(testing::Message() << "n=" << n << " threads=" << threads
+                                                << (storage == layout::dense ? " dense"
+                                                                             : " triangular"));
+                build_options opts;
+                opts.storage = storage;
+                opts.threads = threads;
+                poison_heap(storage == layout::dense ? n * n : n * (n - (n > 0 ? 1 : 0)) / 2);
+                const dissimilarity_matrix m(values, opts);
+                const std::vector<float> upper = m.upper_triangle_f32();
+                ASSERT_EQ(upper.size(), serial_upper.size());
+                for (std::size_t k = 0; k < upper.size(); ++k) {
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(upper[k]),
+                              std::bit_cast<std::uint32_t>(serial_upper[k]))
+                        << "upper cell " << k;
+                }
+                const dissimilarity_matrix ref = dissimilarity_matrix::from_upper(upper, n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    for (std::size_t j = 0; j < n; ++j) {
+                        const auto got = static_cast<float>(m.at(i, j));
+                        ASSERT_FALSE(std::isnan(got)) << "cell " << i << "," << j;
+                        ASSERT_EQ(std::bit_cast<std::uint32_t>(got),
+                                  std::bit_cast<std::uint32_t>(ref.data()[i * n + j]))
+                            << "cell " << i << "," << j;
+                    }
+                    ASSERT_EQ(std::bit_cast<std::uint32_t>(static_cast<float>(m.at(i, i))),
+                              std::bit_cast<std::uint32_t>(0.0f))
+                        << "diagonal " << i;
+                }
+                if (storage == layout::dense) {
+                    for (const float d : m.data()) {
+                        ASSERT_FALSE(std::isnan(d));
+                    }
+                }
+            }
+        }
     }
 }
 

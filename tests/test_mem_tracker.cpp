@@ -102,6 +102,26 @@ TEST(MemVector, AllocationsAreTracked) {
     EXPECT_EQ(current_bytes(), base.bytes);
 }
 
+TEST(MemBuffer, ResizeChargesGovernorAndFaultPlanLikeVector) {
+    const baseline base;
+    {
+        mem::buffer<float> b;
+        b.resize(1024);
+        EXPECT_EQ(current_bytes(), base.bytes + 1024 * sizeof(float));
+    }
+    EXPECT_EQ(current_bytes(), base.bytes);
+    {
+        const governor g(base.bytes + 100);
+        mem::buffer<float> b;
+        EXPECT_THROW(b.resize(1024), memory_budget_exceeded_error);
+        EXPECT_EQ(current_bytes(), base.bytes);
+    }
+    const testing::alloc_fault_injector inject = testing::alloc_fault_injector::fail_nth(1);
+    mem::buffer<std::uint64_t> b;
+    EXPECT_THROW(b.resize(16), memory_budget_exceeded_error);
+    EXPECT_TRUE(b.empty());
+}
+
 TEST(Governor, LimitThrowsTypedError) {
     const governor g(current_bytes() + 100);
     EXPECT_NO_THROW({
