@@ -8,9 +8,13 @@
 /// min_samples come from the auto-configuration (autoconf.hpp). The
 /// algorithm consumes only epsilon-range queries, so it runs against any
 /// dissim::neighborhood_source — the dense matrix adapter and the sparse
-/// engine produce identical labels (the neighbor sets are identical by the
-/// source contract, and the BFS expansion order is a function of those
-/// sets alone).
+/// engine produce identical labels, because the labels are a function of
+/// the neighbor sets alone, which the source contract makes identical:
+/// cells are symmetric, and each cluster is started by the lowest-index
+/// unlabelled core point. The cluster is then the closure of the core
+/// points density-connected to that seed, plus their still-unlabelled
+/// epsilon-neighbors. Border points therefore join the earliest cluster
+/// that reaches them, whatever order the expansion visits points in.
 #pragma once
 
 #include <cstddef>
@@ -43,8 +47,13 @@ struct cluster_labels {
 };
 
 /// Run DBSCAN. Density core: a point with at least min_samples points
-/// (itself included) within epsilon. Border points join the first core
-/// point that reaches them; unreached points are noise.
+/// (itself included) within epsilon. Border points join the first cluster
+/// that reaches them; unreached points are noise. When the source prepared
+/// range bits (neighborhood_source::prepared_row) the expansion walks a
+/// core point's row against the unlabelled points a word at a time;
+/// otherwise it walks neighbors_within lists. Either way each point is
+/// labelled when first reached and queued at most once, so a run costs
+/// O(n) queue steps plus one row read per core point.
 cluster_labels dbscan(const dissim::neighborhood_source& source, const dbscan_params& params);
 
 /// Convenience adapter: run against a dense/triangular matrix directly.

@@ -133,17 +133,17 @@ struct build_options {
 class dissimilarity_matrix {
 public:
     /// Compute all pairwise dissimilarities on \p threads lanes
-    /// (row-blocked upper-triangle fan-out, partners visited in
-    /// length-bucketed order so equal-length pairs take the fast
-    /// equal-length kernel path). Polls \p dl cooperatively from every
+    /// (row-blocked upper-triangle fan-out: row i stores only its own cells
+    /// and visits its partners j > i grouped by length, so equal-length
+    /// pairs take the fast equal-length kernel path back to back). Polls \p dl cooperatively from every
     /// lane. O(n²) kernel calls, each O(m·(n−m+1)) worst case before
     /// early-exit pruning (DESIGN.md §9); O(n²) floats of storage.
     explicit dissimilarity_matrix(std::span<const byte_vector> values,
                                   const deadline& dl = {}, std::size_t threads = 1);
 
-    /// As above with full layout/tiling control. Triangular builds walk
-    /// rows in plain index order tile by tile; dense builds keep the
-    /// length-bucketed visit order (opts.tile_rows/on_tile ignored).
+    /// As above with full layout/tiling control. Both layouts run the same
+    /// row fan-out; triangular builds run it tile by tile, dense builds in
+    /// one pass (opts.tile_rows/on_tile ignored).
     dissimilarity_matrix(std::span<const byte_vector> values, const build_options& opts,
                          const deadline& dl = {});
 

@@ -1,5 +1,7 @@
 #include "pcap/encap.hpp"
 
+#include <algorithm>
+
 #include "util/check.hpp"
 
 namespace ftc::pcap {
@@ -84,11 +86,13 @@ byte_vector build_tcp_frame(const mac_address& src_mac, const mac_address& dst_m
 byte_vector wrap_nbss(byte_view smb_message) {
     expects(smb_message.size() < (1u << 17),
             "nbss: message exceeds session service length field");
-    byte_vector out;
-    put_u8(out, 0x00);  // session message
-    put_u8(out, static_cast<std::uint8_t>((smb_message.size() >> 16) & 0x01));
-    put_u16_be(out, static_cast<std::uint16_t>(smb_message.size() & 0xffff));
-    put_bytes(out, smb_message);
+    // Sized once and written in place: header, then the message.
+    byte_vector out(4 + smb_message.size());
+    out[0] = 0x00;  // session message
+    out[1] = static_cast<std::uint8_t>((smb_message.size() >> 16) & 0x01);
+    out[2] = static_cast<std::uint8_t>((smb_message.size() >> 8) & 0xff);
+    out[3] = static_cast<std::uint8_t>(smb_message.size() & 0xff);
+    std::copy(smb_message.begin(), smb_message.end(), out.begin() + 4);
     return out;
 }
 

@@ -1,7 +1,6 @@
 #include "protocols/field.hpp"
 
 #include <algorithm>
-#include <set>
 
 #include "util/check.hpp"
 
@@ -53,7 +52,7 @@ void validate_annotations(const annotated_message& msg) {
 trace deduplicate(const trace& input) {
     trace out;
     out.protocol = input.protocol;
-    std::set<byte_vector> seen;
+    byte_set seen;
     for (const annotated_message& m : input.messages) {
         if (seen.insert(m.bytes).second) {
             out.messages.push_back(m);

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -74,6 +76,21 @@ struct trace {
 /// Throws ftc::error unless \p msg's annotations are sorted, non-empty in
 /// length, non-overlapping and cover the message bytes exactly.
 void validate_annotations(const annotated_message& msg);
+
+/// Strict order on byte strings for the dedup sets: shorter first, equal
+/// lengths by one memcmp. Membership is all the sets need, and comparing
+/// lengths first settles most pairs without reading a byte.
+struct shortlex_less {
+    bool operator()(const byte_vector& a, const byte_vector& b) const {
+        if (a.size() != b.size()) {
+            return a.size() < b.size();
+        }
+        return !a.empty() && std::memcmp(a.data(), b.data(), a.size()) < 0;
+    }
+};
+
+/// Message byte strings seen so far (first-occurrence dedup).
+using byte_set = std::set<byte_vector, shortlex_less>;
 
 /// Remove messages whose byte content duplicates an earlier message
 /// (paper Sec. III-A: duplicates carry no additional information).

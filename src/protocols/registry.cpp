@@ -1,7 +1,5 @@
 #include "protocols/registry.hpp"
 
-#include <set>
-
 #include "pcap/encap.hpp"
 #include "protocols/au.hpp"
 #include "protocols/awdl.hpp"
@@ -108,7 +106,7 @@ trace generate_trace(std::string_view protocol, std::size_t unique_messages,
     const auto source = make_source(protocol, seed);
     trace out;
     out.protocol = std::string{protocol};
-    std::set<byte_vector> seen;
+    byte_set seen;
     // Generous retry bound: duplicates happen (by design the value pools are
     // skewed) but should not dominate.
     const std::size_t max_attempts = unique_messages * 64 + 1024;

@@ -8,9 +8,13 @@
 #include <bit>
 #include <cmath>
 #include <limits>
+#include <map>
 #include <set>
+#include <string>
 
 #include "dissim/canberra.hpp"
+#include "dissim/kernel.hpp"
+#include "obs/obs.hpp"
 #include "protocols/registry.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
@@ -319,6 +323,59 @@ TEST(Matrix, DenseBuildWritesEveryCell) {
                 }
             }
         }
+    }
+}
+
+/// Values of many distinct lengths (1..40 bytes, a few values per length)
+/// in shuffled index order, so every length bucket of the row fan-out
+/// interleaves its indices with the other buckets'. A small alphabet makes
+/// equal-length partners tie and take the equal fast path in full batches.
+std::vector<byte_vector> interleaved_length_values() {
+    rng rand(41);
+    std::vector<byte_vector> values;
+    for (std::size_t len = 1; len <= 40; ++len) {
+        for (std::size_t k = 0; k < 2 + len % 11; ++k) {
+            byte_vector v(len);
+            for (auto& b : v) {
+                b = static_cast<std::uint8_t>(32 * rand.uniform(0, 7));
+            }
+            values.push_back(std::move(v));
+        }
+    }
+    for (std::size_t k = values.size(); k > 1; --k) {
+        std::swap(values[k - 1], values[rand.uniform(0, k - 1)]);
+    }
+    return values;
+}
+
+TEST(Matrix, RowFanOutMatchesDirectComputationAtAnyLaneCount) {
+    const std::vector<byte_vector> values = interleaved_length_values();
+    const std::size_t n = values.size();
+    ASSERT_EQ(n, 273u);
+    // The pinned counters are the LUT backend's (the scalar reference does
+    // not prune); every backend computes the same cells.
+    const kernel::scoped_backend lut(kernel::backend::lut);
+    for (const std::size_t threads : {1u, 2u, 4u}) {
+        SCOPED_TRACE(testing::Message() << "threads=" << threads);
+        obs::scoped_recorder recorder;
+        const dissimilarity_matrix m(values, deadline{}, threads);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                const float expected =
+                    i == j ? 0.0f
+                           : static_cast<float>(sliding_canberra_dissimilarity(values[i], values[j]));
+                ASSERT_EQ(std::bit_cast<std::uint32_t>(m.data()[i * n + j]),
+                          std::bit_cast<std::uint32_t>(expected))
+                    << "cell " << i << "," << j;
+            }
+        }
+        // Counts of the parent build's length-sorted fan-out: the pair set
+        // and each pair's kernel path are unchanged by the row-local one.
+        const std::map<std::string, double> c = recorder.rec().metrics().snapshot().counters;
+        EXPECT_EQ(c.at("dissim.kernel.invocations_total"), static_cast<double>(n * (n - 1) / 2));
+        EXPECT_EQ(c.at("dissim.kernel.equal_fast_path_total"), 977.0);
+        EXPECT_EQ(c.at("dissim.kernel.windows_total"), 507561.0);
+        EXPECT_EQ(c.at("dissim.kernel.windows_pruned_total"), 393194.0);
     }
 }
 
