@@ -1,6 +1,5 @@
 #include "ckpt/manager.hpp"
 
-#include <fstream>
 #include <optional>
 #include <utility>
 
@@ -21,15 +20,7 @@ std::optional<byte_vector> read_file(const std::filesystem::path& path) {
     if (!std::filesystem::exists(path, ec)) {
         return std::nullopt;
     }
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw ftc::error("ckpt: cannot open " + path.string());
-    }
-    byte_vector bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        throw ftc::error("ckpt: cannot read " + path.string());
-    }
-    return bytes;
+    return util::read_file(path);
 }
 
 /// Decode one checkpoint file and verify its leading fingerprint section

@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
 
@@ -134,13 +133,8 @@ bench_file parse_bench_report(std::string_view json, std::string path) {
 }
 
 bench_file load_bench_report(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw ftc::error("bench_compare: cannot read " + path);
-    }
-    std::ostringstream content;
-    content << in.rdbuf();
-    return parse_bench_report(content.str(), path);
+    const byte_vector bytes = util::read_file(path);
+    return parse_bench_report(std::string(bytes.begin(), bytes.end()), path);
 }
 
 compare_result compare(const bench_file& baseline, const bench_file& candidate,

@@ -1,8 +1,8 @@
 #include "pcap/pcap.hpp"
 
 #include <algorithm>
-#include <fstream>
 
+#include "util/atomic_file.hpp"
 #include "util/check.hpp"
 
 namespace ftc::pcap {
@@ -207,31 +207,11 @@ capture from_pcap_bytes(byte_view bytes) {
 }
 
 void write_file(const std::filesystem::path& path, const capture& cap) {
-    const byte_vector bytes = to_pcap_bytes(cap);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        throw error(message("pcap: cannot open for writing: ", path.string()));
-    }
-    out.write(reinterpret_cast<const char*>(bytes.data()),
-              static_cast<std::streamsize>(bytes.size()));
-    if (!out) {
-        throw error(message("pcap: write failed: ", path.string()));
-    }
+    util::atomic_write_file(path, to_pcap_bytes(cap));
 }
 
 capture read_file(const std::filesystem::path& path, diag::error_sink& sink) {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-        throw error(message("pcap: cannot open for reading: ", path.string()));
-    }
-    const std::streamsize size = in.tellg();
-    in.seekg(0);
-    byte_vector bytes(static_cast<std::size_t>(size));
-    in.read(reinterpret_cast<char*>(bytes.data()), size);
-    if (!in) {
-        throw error(message("pcap: read failed: ", path.string()));
-    }
-    return from_pcap_bytes(bytes, sink);
+    return from_pcap_bytes(util::read_file(path), sink);
 }
 
 capture read_file(const std::filesystem::path& path) {

@@ -1,9 +1,8 @@
 #include "serve/daemon.hpp"
 
-#include <fstream>
-
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
+#include "util/atomic_file.hpp"
 #include "util/error.hpp"
 #include "util/net.hpp"
 
@@ -67,12 +66,147 @@ std::string status_json(const job_status& status) {
     return w.take();
 }
 
+void write_metrics(int fd, const obs::recorder& recorder, const http_limits& limits) {
+    write_response(fd, 200, "text/plain; version=0.0.4",
+                   obs::to_prometheus(recorder.metrics().snapshot()), {},
+                   limits.io_deadline_ms);
+}
+
+void answer_job_request(session_manager& sessions, const obs::recorder* recorder, int fd,
+                        const http_limits& limits) {
+    const auto respond_json =
+        [&](int status, const std::string& body,
+            const std::vector<std::pair<std::string, std::string>>& extra = {}) {
+            if (status >= 400) {
+                obs::counter_add("serve.http_errors_total", 1.0);
+            }
+            write_response(fd, status, "application/json", body, extra, limits.io_deadline_ms);
+        };
+    http_request request;
+    const read_status rs = read_request(fd, limits, request);
+    obs::counter_add("serve.requests_total", 1.0);
+    switch (rs) {
+        case read_status::ok:
+            break;
+        case read_status::bad_request:
+            respond_json(400, error_json("malformed request"));
+            return;
+        case read_status::too_large:
+            respond_json(413, error_json("request exceeds configured limits"));
+            return;
+        default:
+            // eof / timeout / reset: the peer is gone or stalled; there is
+            // nobody left worth writing an error to.
+            obs::counter_add("serve.http_errors_total", 1.0);
+            return;
+    }
+
+    if (request.method == "POST" && request.target == "/jobs") {
+        const admission verdict = sessions.submit(
+            byte_view{request.body.data(), request.body.size()});
+        if (!verdict.accepted) {
+            respond_json(
+                503, error_json(verdict.reason),
+                {{"Retry-After",
+                  std::to_string(sessions.options().retry_after_seconds)}});
+            return;
+        }
+        obs::json_writer w;
+        w.begin_object();
+        w.key("job");
+        w.value(verdict.id);
+        w.key("state");
+        w.value("queued");
+        w.end_object();
+        respond_json(202, w.take());
+        return;
+    }
+
+    std::uint64_t id = 0;
+    bool want_report = false;
+    if (parse_job_target(request.target, id, want_report)) {
+        if (request.method != "GET") {
+            respond_json(405, error_json("use GET"));
+            return;
+        }
+        const std::optional<job_status> status = sessions.status(id);
+        if (!status.has_value()) {
+            respond_json(404, error_json("unknown job"));
+            return;
+        }
+        if (!want_report) {
+            respond_json(200, status_json(*status));
+            return;
+        }
+        if (status->state != job_state::done) {
+            respond_json(409, status_json(*status));
+            return;
+        }
+        byte_vector report;
+        try {
+            report = util::read_file(sessions.journal().report_file(id));
+        } catch (const ftc::error&) {
+            respond_json(404, error_json("report file missing"));
+            return;
+        }
+        const std::string_view text{reinterpret_cast<const char*>(report.data()), report.size()};
+        write_response(fd, 200, "text/plain; charset=utf-8", text, {}, limits.io_deadline_ms);
+        return;
+    }
+
+    if (request.method == "GET" && request.target == "/healthz") {
+        obs::json_writer w;
+        w.begin_object();
+        w.key("status");
+        w.value("ok");
+        w.key("queue");
+        w.value(static_cast<std::uint64_t>(sessions.queued()));
+        w.key("active");
+        w.value(static_cast<std::uint64_t>(sessions.active()));
+        w.key("pressure");
+        w.value(static_cast<std::int64_t>(sessions.pressure_level()));
+        w.end_object();
+        respond_json(200, w.take());
+        return;
+    }
+
+    if (request.method == "GET" && request.target == "/metrics") {
+        if (recorder == nullptr) {
+            respond_json(404, error_json("metrics recorder not enabled"));
+            return;
+        }
+        write_metrics(fd, *recorder, limits);
+        return;
+    }
+
+    respond_json(404, error_json("no such endpoint"));
+}
+
 }  // namespace
 
-daemon::daemon(session_manager& sessions, obs::recorder* recorder, daemon_options options)
-    : sessions_(sessions), recorder_(recorder), options_(std::move(options)) {
-    listen_fd_ = util::net::listen_tcp(options_.host, options_.port, 16, &port_,
-                                       "serve-listen");
+routes job_routes(session_manager& sessions, const obs::recorder* recorder) {
+    return std::bind_front(answer_job_request, std::ref(sessions), recorder);
+}
+
+routes metrics_routes(const obs::recorder& recorder) {
+    return [&recorder](int fd, const http_limits& limits) {
+        http_request request;
+        if (read_request(fd, limits, request) != read_status::ok) {
+            return;
+        }
+        if (request.method == "GET" && request.target == "/metrics") {
+            write_metrics(fd, recorder, limits);
+            return;
+        }
+        write_response(fd, 404, "application/json", error_json("no such endpoint"), {},
+                       limits.io_deadline_ms);
+    };
+}
+
+daemon::daemon(routes r, daemon_options options)
+    : routes_(std::move(r)), options_(std::move(options)) {
+    listen_fd_ = util::net::listen_tcp(options_.listen.host, options_.listen.port, 16, &port_,
+                                       "listen");
     if (options_.io_threads == 0) {
         options_.io_threads = 1;
     }
@@ -107,126 +241,13 @@ void daemon::io_loop() {
         // One connection is one bounded request/response exchange; any
         // exception is a that-connection problem, never the daemon's.
         try {
-            handle_connection(client);
+            routes_(client, options_.limits);
         } catch (const std::exception&) {
             obs::counter_add("serve.http_errors_total", 1.0);
         }
+        requests_.fetch_add(1, std::memory_order_relaxed);
         util::net::close_fd(client);
     }
-}
-
-void daemon::respond_json(
-    int fd, int status, const std::string& body,
-    const std::vector<std::pair<std::string, std::string>>& extra) {
-    if (status >= 400) {
-        obs::counter_add("serve.http_errors_total", 1.0);
-    }
-    write_response(fd, status, "application/json", body, extra,
-                   options_.limits.io_deadline_ms);
-}
-
-void daemon::handle_connection(int fd) {
-    http_request request;
-    const read_status rs = read_request(fd, options_.limits, request);
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    obs::counter_add("serve.requests_total", 1.0);
-    switch (rs) {
-        case read_status::ok:
-            break;
-        case read_status::bad_request:
-            respond_json(fd, 400, error_json("malformed request"));
-            return;
-        case read_status::too_large:
-            respond_json(fd, 413, error_json("request exceeds configured limits"));
-            return;
-        default:
-            // eof / timeout / reset: the peer is gone or stalled; there is
-            // nobody left worth writing an error to.
-            obs::counter_add("serve.http_errors_total", 1.0);
-            return;
-    }
-
-    if (request.method == "POST" && request.target == "/jobs") {
-        const admission verdict = sessions_.submit(
-            byte_view{request.body.data(), request.body.size()});
-        if (!verdict.accepted) {
-            respond_json(
-                fd, 503, error_json(verdict.reason),
-                {{"Retry-After",
-                  std::to_string(sessions_.options().retry_after_seconds)}});
-            return;
-        }
-        obs::json_writer w;
-        w.begin_object();
-        w.key("job");
-        w.value(verdict.id);
-        w.key("state");
-        w.value("queued");
-        w.end_object();
-        respond_json(fd, 202, w.take());
-        return;
-    }
-
-    std::uint64_t id = 0;
-    bool want_report = false;
-    if (parse_job_target(request.target, id, want_report)) {
-        if (request.method != "GET") {
-            respond_json(fd, 405, error_json("use GET"));
-            return;
-        }
-        const std::optional<job_status> status = sessions_.status(id);
-        if (!status.has_value()) {
-            respond_json(fd, 404, error_json("unknown job"));
-            return;
-        }
-        if (!want_report) {
-            respond_json(fd, 200, status_json(*status));
-            return;
-        }
-        if (status->state != job_state::done) {
-            respond_json(fd, 409, status_json(*status));
-            return;
-        }
-        std::ifstream in(sessions_.journal().report_file(id), std::ios::binary);
-        std::string report((std::istreambuf_iterator<char>(in)),
-                           std::istreambuf_iterator<char>());
-        if (!in.is_open()) {
-            respond_json(fd, 404, error_json("report file missing"));
-            return;
-        }
-        write_response(fd, 200, "text/plain; charset=utf-8", report, {},
-                       options_.limits.io_deadline_ms);
-        return;
-    }
-
-    if (request.method == "GET" && request.target == "/healthz") {
-        obs::json_writer w;
-        w.begin_object();
-        w.key("status");
-        w.value("ok");
-        w.key("queue");
-        w.value(static_cast<std::uint64_t>(sessions_.queued()));
-        w.key("active");
-        w.value(static_cast<std::uint64_t>(sessions_.active()));
-        w.key("pressure");
-        w.value(static_cast<std::int64_t>(sessions_.pressure_level()));
-        w.end_object();
-        respond_json(fd, 200, w.take());
-        return;
-    }
-
-    if (request.method == "GET" && request.target == "/metrics") {
-        if (recorder_ == nullptr) {
-            respond_json(fd, 404, error_json("metrics recorder not enabled"));
-            return;
-        }
-        const std::string body = obs::to_prometheus(recorder_->metrics().snapshot());
-        write_response(fd, 200, "text/plain; version=0.0.4", body, {},
-                       options_.limits.io_deadline_ms);
-        return;
-    }
-
-    respond_json(fd, 404, error_json("no such endpoint"));
 }
 
 }  // namespace ftc::serve

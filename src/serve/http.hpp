@@ -2,10 +2,10 @@
 /// Bounded HTTP/1.0 request reading and response writing for the serve
 /// daemon (ftc::serve).
 ///
-/// This extends the single-purpose scrape responder (obs/httpd) into a
-/// small request surface the daemon can route on: method, target, headers
-/// and a Content-Length-framed body. The robustness contract does the
-/// heavy lifting:
+/// The request surface every route of the daemon (serve/daemon.hpp) reads
+/// through, the `--metrics-listen` scrape route included: method, target,
+/// headers and a Content-Length-framed body. The robustness contract does
+/// the heavy lifting:
 ///
 ///  - every read and write goes through util::net, so EINTR and partial
 ///    transfers are retried and every wait is deadline-bounded;

@@ -2,18 +2,12 @@
 
 #include <utility>
 
-#include "ckpt/manager.hpp"
-#include "core/pipeline.hpp"
-#include "core/report.hpp"
 #include "mem/mem.hpp"
 #include "obs/export.hpp"
 #include "obs/obs.hpp"
-#include "pcap/decap.hpp"
-#include "pcap/pcap.hpp"
-#include "segmentation/segment.hpp"
+#include "serve/job.hpp"
 #include "util/atomic_file.hpp"
 #include "util/error.hpp"
-#include "util/stopwatch.hpp"
 
 namespace ftc::serve {
 
@@ -252,78 +246,28 @@ void session_manager::run_session(const pending_job& job) {
     diag::error_sink sink(options_.lenient ? diag::policy::lenient
                                            : diag::policy::strict);
     try {
-        const byte_vector raw = spool_.read_payload(job.id, job.digest);
-
-        core::pipeline_options opt;
-        opt.budget_seconds = options_.session_budget_seconds;
-        opt.threads = options_.pipeline_threads;
-        opt.neighborhood = status.degraded ? dissim::neighborhood_mode::sparse
-                                           : options_.neighborhood;
-        opt.max_memory = session_memory_cap(pressure);
-
-        // Per-session governor on this worker thread: every tracked charge
-        // the session makes is checked against the shared footprint, so the
-        // combined sessions can never push it past the process ceiling.
-        std::optional<mem::governor> governor;
-        if (opt.max_memory > 0) {
-            governor.emplace(opt.max_memory);
-        }
-
-        const pcap::capture cap = pcap::from_pcap_bytes(raw, sink);
-        std::vector<byte_vector> messages;
-        for (pcap::datagram& d : pcap::extract_datagrams(cap, {}, sink)) {
-            messages.push_back(std::move(d.payload));
-        }
-        if (messages.size() < 3) {
-            throw parse_error("not enough messages to analyze");
-        }
-
-        const auto segmenter = segmentation::make_segmenter(options_.segmenter);
-
+        job_options job_opt;
+        job_opt.segmenter = options_.segmenter;
+        job_opt.pipeline.budget_seconds = options_.session_budget_seconds;
+        job_opt.pipeline.threads = options_.pipeline_threads;
+        job_opt.pipeline.neighborhood = status.degraded ? dissim::neighborhood_mode::sparse
+                                                        : options_.neighborhood;
+        // The job's governor runs on this worker thread: every tracked
+        // charge the session makes is checked against the shared
+        // footprint, so the combined sessions can never push it past the
+        // process ceiling.
+        job_opt.pipeline.max_memory = session_memory_cap(pressure);
         // Checkpointing is always on in serve: the journal entry plus the
         // stage snapshots are what make kill -9 cost at most one stage.
-        ckpt::checkpoint_manager manager(
-            spool_.checkpoint_dir(job.id),
-            ckpt::fingerprint(opt, options_.segmenter,
-                              obs::fnv1a64(raw.data(), raw.size())));
-        opt.observer = &manager;
+        job_opt.checkpoint_dir = spool_.checkpoint_dir(job.id);
+        job_opt.resume = true;
+        const job_result result =
+            run_job(spool_.read_payload(job.id, job.digest), job_opt, sink);
 
-        std::vector<byte_vector> segmented_messages;
-        core::pipeline_seed seed;
-        ckpt::restored_state restored = manager.load(messages, sink);
-        seed = std::move(restored.seed);
-        if (restored.has_segments()) {
-            segmented_messages = std::move(restored.messages);
-            manager.set_surviving(std::move(restored.surviving));
-        }
-
-        const deadline dl = options_.session_budget_seconds > 0
-                                ? deadline(options_.session_budget_seconds)
-                                : deadline();
-        core::pipeline_result result;
-        try {
-            if (!seed.segments.has_value()) {
-                segmentation::lenient_segmentation segmented =
-                    segmentation::segment_lenient(*segmenter, messages, dl, sink);
-                segmented_messages = std::move(segmented.messages);
-                manager.set_surviving(segmented.surviving);
-                manager.on_segments(segmented_messages, segmented.segments);
-                seed.segments = std::move(segmented.segments);
-            }
-            result = core::analyze_seeded(segmented_messages, nullptr, std::move(seed), opt);
-        } catch (const interrupted_error&) {
-            if (!seed.segments.has_value()) {
-                manager.on_interrupted("segmentation");
-            }
-            throw;
-        }
-        manager.mark_complete();
-
-        // The report bytes are exactly what `ftclust analyze --report-out`
+        // The report bytes are exactly what `ftclust run --report-out`
         // writes for the same capture and options — the crash-recovery
         // acceptance test diffs the two.
-        const std::string report = core::render_report(core::summarize_clusters(result));
-        util::atomic_write_file(spool_.report_file(job.id), std::string_view{report});
+        util::atomic_write_file(spool_.report_file(job.id), std::string_view{result.report});
         spool_.mark_done(job.id);
         status.state = job_state::done;
         set_status(status);

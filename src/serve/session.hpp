@@ -4,9 +4,9 @@
 ///
 /// The manager owns a bounded job queue and a small pool of worker
 /// threads. Each accepted job is journaled to the spool *before* the
-/// caller hears "accepted", then executed as one *session*: the exact
-/// batch-analyze flow (ingest, segmentation, seeded pipeline) run under
-/// its own nested mem::governor, its own diag::error_sink, its own
+/// caller hears "accepted", then executed as one *session*: a call to
+/// serve::run_job (serve/job.hpp), the same runner `ftclust run` uses,
+/// under its own nested mem::governor, its own diag::error_sink, its own
 /// wall-clock budget and its own checkpoint directory. The isolation
 /// contract:
 ///

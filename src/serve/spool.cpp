@@ -18,18 +18,6 @@ namespace {
 constexpr std::string_view kMetaPrefix = "job-";
 constexpr std::string_view kMetaSuffix = ".json";
 
-byte_vector read_file_bytes(const std::filesystem::path& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw parse_error("spool: cannot open " + path.string());
-    }
-    byte_vector bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        throw parse_error("spool: cannot read " + path.string());
-    }
-    return bytes;
-}
-
 std::string meta_json(const spool_entry& entry) {
     obs::json_writer w;
     w.begin_object();
@@ -201,7 +189,7 @@ std::vector<spool_entry> spool::scan(diag::error_sink& sink) const {
         }
         spool_entry entry;
         try {
-            const byte_vector raw = read_file_bytes(dirent.path());
+            const byte_vector raw = util::read_file(dirent.path());
             entry = parse_meta(std::string(raw.begin(), raw.end()));
         } catch (const ftc::error& e) {
             sink.fail({diag::category::spool, diag::severity::error, 0, 0,
@@ -230,7 +218,7 @@ std::vector<spool_entry> spool::scan(diag::error_sink& sink) const {
 }
 
 byte_vector spool::read_payload(std::uint64_t id, std::uint64_t expected_digest) const {
-    byte_vector payload = read_file_bytes(payload_file(id));
+    byte_vector payload = util::read_file(payload_file(id));
     const std::uint64_t digest = obs::fnv1a64(payload.data(), payload.size());
     if (digest != expected_digest) {
         throw parse_error("spool: payload digest mismatch for job " + std::to_string(id) +

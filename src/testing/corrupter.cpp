@@ -1,8 +1,8 @@
 #include "testing/corrupter.hpp"
 
 #include <algorithm>
-#include <fstream>
 
+#include "util/atomic_file.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -215,27 +215,7 @@ byte_vector corrupt_pcap_bytes(byte_view pcap_bytes, const corruption_options& o
 void corrupt_pcap_file(const std::filesystem::path& in_path,
                        const std::filesystem::path& out_path,
                        const corruption_options& options, corruption_log* log) {
-    std::ifstream in(in_path, std::ios::binary | std::ios::ate);
-    if (!in) {
-        throw error(message("corrupter: cannot open for reading: ", in_path.string()));
-    }
-    const std::streamsize size = in.tellg();
-    in.seekg(0);
-    byte_vector bytes(static_cast<std::size_t>(size));
-    in.read(reinterpret_cast<char*>(bytes.data()), size);
-    if (!in) {
-        throw error(message("corrupter: read failed: ", in_path.string()));
-    }
-    const byte_vector corrupted = corrupt_pcap_bytes(bytes, options, log);
-    std::ofstream out(out_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        throw error(message("corrupter: cannot open for writing: ", out_path.string()));
-    }
-    out.write(reinterpret_cast<const char*>(corrupted.data()),
-              static_cast<std::streamsize>(corrupted.size()));
-    if (!out) {
-        throw error(message("corrupter: write failed: ", out_path.string()));
-    }
+    util::atomic_write_file(out_path, corrupt_pcap_bytes(util::read_file(in_path), options, log));
 }
 
 byte_vector flip_random_bits(byte_view bytes, std::size_t flips, std::uint64_t seed) {
@@ -253,27 +233,7 @@ byte_vector flip_random_bits(byte_view bytes, std::size_t flips, std::uint64_t s
 
 void flip_random_bits_in_file(const std::filesystem::path& path, std::size_t flips,
                               std::uint64_t seed) {
-    std::ifstream in(path, std::ios::binary | std::ios::ate);
-    if (!in) {
-        throw error(message("corrupter: cannot open for reading: ", path.string()));
-    }
-    const std::streamsize size = in.tellg();
-    in.seekg(0);
-    byte_vector bytes(static_cast<std::size_t>(size));
-    in.read(reinterpret_cast<char*>(bytes.data()), size);
-    if (!in) {
-        throw error(message("corrupter: read failed: ", path.string()));
-    }
-    const byte_vector damaged = flip_random_bits(bytes, flips, seed);
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        throw error(message("corrupter: cannot open for writing: ", path.string()));
-    }
-    out.write(reinterpret_cast<const char*>(damaged.data()),
-              static_cast<std::streamsize>(damaged.size()));
-    if (!out) {
-        throw error(message("corrupter: write failed: ", path.string()));
-    }
+    util::atomic_write_file(path, flip_random_bits(util::read_file(path), flips, seed));
 }
 
 }  // namespace ftc::testing

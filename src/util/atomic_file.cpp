@@ -3,6 +3,8 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <iterator>
 
 #include "util/check.hpp"
 
@@ -10,8 +12,6 @@
 #define FTC_ATOMIC_FILE_POSIX 1
 #include <fcntl.h>
 #include <unistd.h>
-#else
-#include <fstream>
 #endif
 
 namespace ftc::util {
@@ -147,6 +147,18 @@ void atomic_write_file(const std::filesystem::path& path, byte_view bytes) {
 void atomic_write_file(const std::filesystem::path& path, std::string_view text) {
     atomic_write_file(path,
                       byte_view{reinterpret_cast<const std::uint8_t*>(text.data()), text.size()});
+}
+
+byte_vector read_file(const std::filesystem::path& path) {
+    std::ifstream in(path, std::ios::binary);
+    if (!in) {
+        throw error("cannot open " + path.string());
+    }
+    byte_vector bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    if (in.bad()) {
+        throw error("cannot read " + path.string());
+    }
+    return bytes;
 }
 
 }  // namespace ftc::util

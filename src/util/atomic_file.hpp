@@ -1,5 +1,6 @@
 /// \file atomic_file.hpp
-/// Crash-durable whole-file replacement: write-temp, fsync, rename.
+/// Crash-durable whole-file replacement (write-temp, fsync, rename) and
+/// its read-side counterpart.
 ///
 /// Every artifact a run leaves behind — checkpoints (ftc::ckpt), trace and
 /// metrics exports, run manifests, reports — must be either the complete
@@ -29,5 +30,9 @@ void atomic_write_file(const std::filesystem::path& path, byte_view bytes);
 
 /// Text overload of atomic_write_file.
 void atomic_write_file(const std::filesystem::path& path, std::string_view text);
+
+/// The whole content of \p path. Throws ftc::error naming the path when it
+/// cannot be opened or read.
+byte_vector read_file(const std::filesystem::path& path);
 
 }  // namespace ftc::util

@@ -16,6 +16,7 @@
 
 #include "obs/obs.hpp"
 #include "util/error.hpp"
+#include "util/parse.hpp"
 
 namespace ftc::util::net {
 
@@ -26,8 +27,6 @@ namespace {
 // the operation sites.
 std::atomic<std::uint64_t> g_fail_countdown{0};
 std::atomic<int> g_fail_kind{static_cast<int>(io_fault::none)};
-std::atomic<std::uint64_t> g_socket_ops{0};
-std::atomic<std::uint64_t> g_spool_ops{0};
 
 /// Milliseconds left until \p deadline (clamped to >= 0).
 int remaining_ms(std::chrono::steady_clock::time_point deadline) noexcept {
@@ -51,11 +50,6 @@ io_fault_plan get_io_fault_plan() noexcept {
 }
 
 io_fault consume_io_fault(io_op op) noexcept {
-    if (op == io_op::spool_op) {
-        g_spool_ops.fetch_add(1, std::memory_order_relaxed);
-    } else {
-        g_socket_ops.fetch_add(1, std::memory_order_relaxed);
-    }
     const io_fault kind = static_cast<io_fault>(g_fail_kind.load(std::memory_order_relaxed));
     if (kind == io_fault::none) {
         return io_fault::none;
@@ -74,14 +68,6 @@ io_fault consume_io_fault(io_op op) noexcept {
         return kind;
     }
     return io_fault::none;
-}
-
-std::uint64_t socket_ops_observed() noexcept {
-    return g_socket_ops.load(std::memory_order_relaxed);
-}
-
-std::uint64_t spool_ops_observed() noexcept {
-    return g_spool_ops.load(std::memory_order_relaxed);
 }
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -283,7 +269,7 @@ void close_fd(int fd) noexcept {
     }
 }
 
-#else  // !unix: no sockets — the serve daemon and scrape endpoint report
+#else  // !unix: no sockets — the serve daemon reports
        // the platform gap at construction; these stubs keep links working.
 
 int listen_tcp(const std::string& host, std::uint16_t port, int, std::uint16_t*,
@@ -301,5 +287,23 @@ io_result write_all(int, const void*, std::size_t, int) noexcept {
 void close_fd(int) noexcept {}
 
 #endif
+
+listen_address parse_listen_address(const std::string& spec) {
+    const std::size_t colon = spec.rfind(':');
+    if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
+        throw ftc::error("listen: expected HOST:PORT, got '" + spec + "'");
+    }
+    listen_address out;
+    out.host = spec.substr(0, colon);
+    if (out.host == "localhost") {
+        out.host = "127.0.0.1";
+    }
+    const std::uint64_t port = util::parse_u64(spec.c_str() + colon + 1, "listen port");
+    if (port > 65535) {
+        throw ftc::error("listen: port " + std::to_string(port) + " out of range");
+    }
+    out.port = static_cast<std::uint16_t>(port);
+    return out;
+}
 
 }  // namespace ftc::util::net

@@ -1,6 +1,7 @@
 /// \file net.hpp
 /// Hardened POSIX socket primitives shared by every network-facing surface
-/// (the obs scrape endpoint, the serve daemon's request router).
+/// (the serve daemon's accept loop, which also runs the --metrics-listen
+/// scrape endpoint).
 ///
 /// Raw send()/recv() have three classic failure modes a long-lived daemon
 /// must survive: EINTR (any signal interrupts the syscall), partial
@@ -79,13 +80,6 @@ io_fault_plan get_io_fault_plan() noexcept;
 /// spool_op around journal writes.
 io_fault consume_io_fault(io_op op) noexcept;
 
-/// Tracked socket operations (accept/recv/send) observed so far — sweeps
-/// size their ordinal range from a reference run's count.
-std::uint64_t socket_ops_observed() noexcept;
-
-/// Tracked spool journal writes observed so far.
-std::uint64_t spool_ops_observed() noexcept;
-
 // ---------------------------------------------------------------------------
 // Socket primitives
 // ---------------------------------------------------------------------------
@@ -103,6 +97,16 @@ struct io_result {
 
     bool ok() const noexcept { return st == status::ok; }
 };
+
+/// A parsed "HOST:PORT" listen spec.
+struct listen_address {
+    std::string host;
+    std::uint16_t port = 0;
+};
+
+/// Parse "HOST:PORT" (e.g. "127.0.0.1:9464", "0.0.0.0:0"); throws
+/// ftc::error on a malformed address. "localhost" maps to 127.0.0.1.
+listen_address parse_listen_address(const std::string& spec);
 
 /// Create, bind and listen on an IPv4 TCP socket. SO_REUSEADDR, FD_CLOEXEC
 /// and O_NONBLOCK are set on the fd; port 0 binds an ephemeral port and

@@ -9,7 +9,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <set>
 #include <string>
 
 #include "dissim/canberra.hpp"
@@ -120,7 +119,7 @@ TEST(Condense, FullAndWeightedAgreeOnValues) {
 
         // First-occurrence order, from a plain walk over the trace.
         std::vector<byte_vector> first_seen;
-        std::set<byte_vector> seen;
+        protocols::byte_set seen;
         for (const auto& per_message : segs) {
             for (const segment& seg : per_message) {
                 const byte_view b = segmentation::segment_bytes(messages, seg);

@@ -76,6 +76,17 @@ TEST(FieldHunter, FindsLengthField) {
     EXPECT_TRUE(found);
 }
 
+/// A big-endian 4-byte id followed by four fill bytes, sized once: GCC 12
+/// misreads a push_back-then-insert growth sequence on one vector as an
+/// overread (-Wstringop-overread).
+byte_vector id_then_fill(std::uint32_t id, std::uint8_t fill) {
+    byte_vector out(8, fill);
+    for (std::size_t i = 0; i < 4; ++i) {
+        out[i] = static_cast<std::uint8_t>(id >> (24 - 8 * i));
+    }
+    return out;
+}
+
 TEST(FieldHunter, FindsTransactionId) {
     // Random 4-byte id at offset 0, echoed verbatim by the response.
     rng rand(3);
@@ -85,13 +96,11 @@ TEST(FieldHunter, FindsTransactionId) {
         fh_message req;
         req.flow = client_flow(4, static_cast<std::uint16_t>(12000 + i));
         req.is_request = true;
-        put_u32_be(req.bytes, txid);
-        put_fill(req.bytes, 4, 0x11);
+        req.bytes = id_then_fill(txid, 0x11);
         fh_message resp;
         resp.flow = req.flow.reversed();
         resp.is_request = false;
-        put_u32_be(resp.bytes, txid);
-        put_fill(resp.bytes, 4, 0x22);
+        resp.bytes = id_then_fill(txid, 0x22);
         messages.push_back(std::move(req));
         messages.push_back(std::move(resp));
     }

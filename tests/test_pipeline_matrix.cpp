@@ -4,7 +4,6 @@
 // test_core_pipeline.cpp / test_integration_end2end.cpp.
 #include <gtest/gtest.h>
 
-#include <set>
 #include <tuple>
 
 #include "core/metrics.hpp"
@@ -57,7 +56,7 @@ TEST_P(PipelineMatrix, InvariantsHoldEndToEnd) {
 
     // Unique values really are unique, >=2 bytes, and their occurrences
     // point at matching bytes.
-    std::set<byte_vector> seen;
+    protocols::byte_set seen;
     for (std::size_t i = 0; i < result.unique.size(); ++i) {
         const byte_vector& value = result.unique.values[i];
         EXPECT_GE(value.size(), 2u);

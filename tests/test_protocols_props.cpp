@@ -153,7 +153,7 @@ TEST(Dhcp, DissectorRejectsMissingCookie) {
 
 TEST(Smb, HeaderMagicAndSignatureEntropy) {
     const trace t = generate_trace("SMB", 64, 23);
-    std::set<byte_vector> signatures;
+    byte_set signatures;
     for (const auto& m : t.messages) {
         ASSERT_GE(m.bytes.size(), 32u);
         EXPECT_EQ(m.bytes[0], 0xff);

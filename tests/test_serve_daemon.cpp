@@ -40,7 +40,7 @@ struct daemon_fixture {
         sessions.start();
         daemon_options dopt;
         dopt.limits.io_deadline_ms = 2000;
-        server.emplace(sessions, nullptr, dopt);
+        server.emplace(job_routes(sessions, nullptr), dopt);
     }
 
     static serve_options make_options() {
@@ -115,7 +115,7 @@ TEST(ServeDaemon, ShedsWithRetryAfterWhenNotAccepting) {
     session_manager sessions(journal, daemon_fixture::make_options());
     // Deliberately never started: admission refuses everything, which is
     // exactly the daemon's answer shape under overload.
-    daemon server(sessions, nullptr, daemon_options{});
+    daemon server(job_routes(sessions, nullptr), daemon_options{});
     const byte_vector raw = serve_test::make_capture_bytes("NTP", 10, 1);
     const std::string response = http_post(server.port(), "/jobs", raw);
     EXPECT_EQ(response_status(response), 503);
@@ -141,7 +141,7 @@ TEST(ServeDaemon, MetricsServedWhenRecorderInstalled) {
     spool journal(dir);
     session_manager sessions(journal, daemon_fixture::make_options());
     sessions.start();
-    daemon server(sessions, &recorder.rec(), daemon_options{});
+    daemon server(job_routes(sessions, &recorder.rec()), daemon_options{});
     const std::string response = http_get(server.port(), "/metrics");
     EXPECT_EQ(response_status(response), 200);
     EXPECT_NE(response.find("ftc_serve_jobs_submitted_total 3"), std::string::npos)
@@ -173,14 +173,14 @@ TEST(ServeDaemon, StopIsIdempotentAndReleasesThePort) {
     spool journal(dir);
     session_manager sessions(journal, daemon_fixture::make_options());
     sessions.start();
-    auto server = std::make_optional<daemon>(sessions, nullptr, daemon_options{});
+    auto server = std::make_optional<daemon>(job_routes(sessions, nullptr), daemon_options{});
     const std::uint16_t port = server->port();
     server->stop();
     server->stop();
     server.reset();  // destructor stops a third time
     daemon_options again_opt;
-    again_opt.port = port;
-    daemon again(sessions, nullptr, again_opt);
+    again_opt.listen.port = port;
+    daemon again(job_routes(sessions, nullptr), again_opt);
     EXPECT_EQ(again.port(), port);
 }
 
@@ -208,7 +208,7 @@ TEST(ServeDaemon, StopReturnsPromptlyAfterOneClientWithFourIoThreads) {
     daemon_options dopt;
     dopt.io_threads = 4;
     dopt.limits.io_deadline_ms = 2000;
-    daemon server(sessions, nullptr, dopt);
+    daemon server(job_routes(sessions, nullptr), dopt);
     // One connection wakes all four pollers at once.
     EXPECT_EQ(response_status(http_get(server.port(), "/healthz")), 200);
     std::future<void> stopped = std::async(std::launch::async, [&] { server.stop(); });

@@ -57,7 +57,7 @@ bool faulted_exchange(const fs::path& dir, const byte_vector& capture,
     spool journal(dir);
     session_manager sessions(journal, sweep_options());
     sessions.start();
-    daemon server(sessions, nullptr, sweep_listener());
+    daemon server(job_routes(sessions, nullptr), sweep_listener());
 
     std::uint64_t job = 0;
     {
@@ -110,7 +110,7 @@ TEST(ServeFaults, EverySocketOrdinalHealsOrFailsTyped) {
         spool journal(dir);
         session_manager sessions(journal, sweep_options());
         sessions.start();
-        daemon server(sessions, nullptr, sweep_listener());
+        daemon server(job_routes(sessions, nullptr), sweep_listener());
         ASSERT_EQ(response_status(http_post(server.port(), "/jobs", capture)), 202);
         sessions.drain();
         ASSERT_EQ(sessions.status(1)->state, job_state::done);
@@ -147,7 +147,7 @@ TEST(ServeFaults, SpoolCorruptionIsCaughtByDigestAndFailsTyped) {
     spool journal(dir);
     session_manager sessions(journal, sweep_options());
     sessions.start();
-    daemon server(sessions, nullptr, sweep_listener());
+    daemon server(job_routes(sessions, nullptr), sweep_listener());
 
     // Ordinal 1: the first spool write is corrupted — the session must
     // catch it via the payload digest and fail typed, not analyze rot.

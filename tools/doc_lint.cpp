@@ -6,11 +6,14 @@
 ///
 /// Checks, each symmetric where it can be:
 ///
-///   1. Every `--flag` string literal parsed by tools/ftclust_cli.cpp or
+///   1. Every flag of ftclust's command-line table (tools/cli_flags.hpp,
+///      linked in) and every `--flag` string literal parsed by
 ///      tools/bench_compare.cpp appears in README.md, and every `--flag`
 ///      token in README.md or DESIGN.md names a parsed flag (a short
 ///      allowlist covers flags of foreign tools quoted in build
-///      instructions: ctest/cmake/google-benchmark).
+///      instructions: ctest/cmake/google-benchmark). Each table flag has a
+///      row in README.md's flag reference whose value name and subcommand
+///      column match the table.
 ///   2. Every JSON key bench_common.hpp's bench_report emits (`key("...")`
 ///      literals) and every per-run extra any bench emits
 ///      (`extra("...")` literals in bench/*.cpp) appears in the
@@ -25,6 +28,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "cli_flags.hpp"
 
 namespace {
 
@@ -93,9 +98,8 @@ int main(int argc, char** argv) {
     }
     const fs::path root = argc == 2 ? fs::path(argv[1]) : fs::path(".");
 
-    std::string cli_src, compare_src, readme, design, experiments, bench_common;
-    if (!read_file(root / "tools/ftclust_cli.cpp", cli_src) ||
-        !read_file(root / "tools/bench_compare.cpp", compare_src) ||
+    std::string compare_src, readme, design, experiments, bench_common;
+    if (!read_file(root / "tools/bench_compare.cpp", compare_src) ||
         !read_file(root / "README.md", readme) ||
         !read_file(root / "DESIGN.md", design) ||
         !read_file(root / "EXPERIMENTS.md", experiments) ||
@@ -104,9 +108,14 @@ int main(int argc, char** argv) {
     }
 
     // --- Check 1: CLI flags vs README/DESIGN ---------------------------
-    std::set<std::string> parsed = parsed_flags(cli_src);
-    for (const std::string& f : parsed_flags(compare_src)) {
-        parsed.insert(f);
+    std::set<std::string> parsed = parsed_flags(compare_src);
+    for (const ftc::cli::flag_spec& f : ftc::cli::flags()) {
+        parsed.emplace(f.name);
+    }
+    for (const ftc::cli::command_spec& c : ftc::cli::commands()) {
+        if (c.alias.starts_with("--")) {
+            parsed.emplace(c.alias);  // `ftclust --version`
+        }
     }
     const std::set<std::string> in_readme = documented_flags(readme);
     const std::set<std::string> in_design = documented_flags(design);
@@ -128,6 +137,26 @@ int main(int argc, char** argv) {
     for (const std::string& f : in_design) {
         if (parsed.count(f) == 0 && allowlist.count(f) == 0) {
             drift("documented flag", f, "is parsed by no tool (DESIGN.md)");
+        }
+    }
+
+    // Each table flag's row in README.md's flag reference, subcommands in
+    // table order: "| `--threads N` | analyze, serve, evaluate |".
+    for (const ftc::cli::flag_spec& f : ftc::cli::flags()) {
+        std::string row = "| `";
+        row += f.name;
+        row += f.metavar.empty() ? "" : " ";
+        row += f.metavar;
+        row += "` |";
+        for (std::size_t c = 0; c < ftc::cli::commands().size(); ++c) {
+            if (f.accepted_by(static_cast<ftc::cli::command>(c))) {
+                row += row.back() == '|' ? " " : ", ";
+                row += ftc::cli::commands()[c].name;
+            }
+        }
+        row += " |";
+        if (readme.find(row) == std::string::npos) {
+            drift("flag", std::string{f.name}, ("needs the README.md row " + row).c_str());
         }
     }
 

@@ -1,120 +1,58 @@
 /// \file ftclust_cli.cpp
 /// The ftclust command line tool: analyze capture files of unknown binary
-/// protocols, synthesize evaluation traces, and score the pipeline against
-/// ground truth.
+/// protocols, serve the analysis as a daemon, synthesize evaluation traces,
+/// and score the pipeline against ground truth.
 ///
-/// Subcommands:
-///   ftclust analyze  <capture.pcap> [--segmenter NEMESYS|CSP|Netzob]
-///                    [--budget SECONDS] [--deadline-ms N] [--max-segments N]
-///                    [--max-bytes N] [--strict|--lenient] [--threads N]
-///                    [--neighborhood dense|sparse|auto] [--semantics]
-///                    [--trace-out FILE] [--metrics-out FILE]
-///                    [--manifest-out FILE]
+/// Every subcommand, flag and default lives in one table (cli_flags.hpp);
+/// the usage text is generated from it and README.md's flag reference is
+/// checked against it by tools/doc_lint. An unknown flag, a value flag
+/// without a value or a stray argument prints the usage text to stderr and
+/// exits 2.
+///
+///   ftclust analyze <capture.pcap> (alias: run)
 ///       Cluster the capture's messages into pseudo data types and print
-///       the analyst report. Works on UDP/TCP payloads (Ethernet/IPv4) and
-///       raw/user0 captures. --lenient quarantines malformed pcap records
-///       and frames (counted and reported) instead of aborting at the
-///       first one; --strict (the default) keeps the legacy fail-fast
-///       behavior. --deadline-ms / --max-segments / --max-bytes bound the
-///       run; exceeding a bound exits with code 3 and a partial-progress
-///       report. --max-memory caps the tracked heap footprint (suffixes
-///       K/M/G/T accepted): under pressure the pipeline first dedups
-///       segment occurrence lists, then switches the dissimilarity matrix
-///       to a tiled triangular layout, and only when even the degraded
-///       footprint cannot fit exits with code 3, a partial-progress report
-///       and manifest status "memory-exceeded".
-///       --threads bounds the worker count of the
-///       dissimilarity/auto-configuration stages (0 = all hardware
-///       threads, 1 = serial); the result is identical either way.
-///       --neighborhood picks the epsilon-neighborhood engine: dense
-///       builds the full pairwise matrix, sparse builds capped per-point
-///       neighbor lists with length-bound bucket pruning, auto (the
-///       default) picks sparse for large inputs. The engines serve
-///       bitwise-identical values, so reports match across all three.
-///       `ftclust run` is an alias for `analyze`. Any of --trace-out
-///       (Chrome trace-event JSON for chrome://tracing), --metrics-out
-///       (Prometheus-style text) and --manifest-out (machine-readable
-///       run.json: options, input digest, stage timings, quarantine
-///       summary, peak RSS, final cluster metrics) turns observability on;
-///       without them instrumentation stays a no-op and clustering output
-///       is bitwise identical either way. --report-out writes the analyst
-///       report to a file as well as stdout. All output files are written
-///       atomically (tmp + fsync + rename).
+///       the analyst report. The job itself (decap, checkpoints, lenient
+///       segmentation, the seeded pipeline, the report bytes) is
+///       serve::run_job, shared with every serve session; this file adds
+///       the observability outputs (--trace-out, --metrics-out,
+///       --manifest-out, --telemetry-out, --progress and the
+///       --metrics-listen scrape endpoint), the stdout lines, --report-out
+///       and --semantics. Exit codes: 0 ok; 3 when --budget/--deadline-ms,
+///       --max-segments, --max-bytes or --max-memory stops the run (with a
+///       partial-progress report); 128+signo when SIGINT/SIGTERM stops it
+///       gracefully (a second signal kills the default way); 1 on any
+///       other error. --checkpoint DIR persists each completed stage and
+///       --resume restores every snapshot that validates, so a killed run
+///       continues where it stopped with identical output. Output files
+///       are written atomically (tmp + fsync + rename), and observability
+///       never changes the clustering output.
 ///
-///       --checkpoint DIR persists each completed stage into DIR
-///       (segments.ckpt, matrix.ckpt, clustering.ckpt, manifest.json;
-///       format in src/ckpt/format.hpp) so a crashed, killed or
-///       budget-tripped run can continue where it stopped: --resume
-///       restores every snapshot that validates against the current
-///       options and input, recomputes the rest, and — every stage being
-///       bitwise deterministic — produces output identical to an
-///       uninterrupted run. SIGINT/SIGTERM request a graceful stop: the
-///       run unwinds at the next cancellation point, writes a final
-///       status=interrupted checkpoint manifest plus any requested
-///       observability outputs, and exits with 128+signo. A second signal
-///       kills the process the default way.
-///
-///       --telemetry-out FILE streams an NDJSON time-series (schema
-///       "ftc.telemetry.v1": progress, tracked-heap gauges, the full
-///       counter set) sampled every --telemetry-interval-ms (default 500)
-///       by a read-only background thread; the stream always ends with
-///       exactly one final sample carrying the run status, on every exit
-///       path including budget/memory trips and SIGINT/SIGTERM.
-///       --progress renders a live stage/rate/ETA line on stderr (an
-///       in-place line on a TTY, rate-limited plain lines otherwise).
-///       --metrics-listen HOST:PORT serves the live Prometheus text
-///       exposition over HTTP while the run lasts (port 0 = ephemeral,
-///       the bound port is printed). All three are observational only:
-///       clustering output is bitwise identical with them on, off or
-///       compiled out.
-///
-///   ftclust serve --spool DIR [--listen HOST:PORT] ...
-///       Run the clustering pipeline as a long-lived, crash-recoverable
-///       daemon. Jobs are submitted as pcap bytes over local HTTP
-///       (POST /jobs), each runs as a fault-isolated session — its own
-///       memory governor, diagnostics sink, wall-clock budget and
-///       checkpoint directory — on a bounded worker pool. Every accepted
-///       job is journaled to the spool directory before the 202 ack, so
-///       kill -9 at any instant costs at most the stage in flight: on
-///       restart the daemon replays unfinished jobs through their stage
-///       checkpoints and produces reports byte-identical to uninterrupted
-///       runs. Overload (full queue, memory pressure) is shed with
-///       503 + Retry-After, and pressure first degrades new sessions
-///       (sparse neighborhood, tightened per-session memory cap — both
-///       result-neutral) before refusing. GET /jobs/<id> returns status,
-///       GET /jobs/<id>/report the finished report, GET /healthz the
-///       queue/pressure snapshot and GET /metrics the Prometheus text
-///       exposition. SIGINT/SIGTERM drain gracefully; in-flight sessions
-///       unwind at the next cancellation point and replay on restart.
+///   ftclust serve --spool DIR
+///       Run the pipeline as a long-lived, crash-recoverable daemon: jobs
+///       arrive as pcap bytes over local HTTP (POST /jobs), are journaled
+///       before the 202 ack and run as fault-isolated sessions; overload is
+///       shed with 503 + Retry-After. See src/serve/*.hpp. SIGINT/SIGTERM
+///       drain and exit 128+signo.
 ///
 ///   ftclust version [--json]
-///       Print build provenance: version, git SHA, build type, and the
-///       compiled/active sliding-Canberra kernel backends.
+///       Build provenance: version, git SHA, build type, kernel backends.
 ///
-///   ftclust generate <protocol> <messages> <out.pcap> [--seed N]
-///       Synthesize a deduplicated trace of one of the built-in protocols
-///       (NTP, DNS, NBNS, DHCP, SMB, AWDL, AU) and write it as pcap.
-///
-///   ftclust corrupt  <in.pcap> <out.pcap> [--fraction F] [--seed N]
-///       Fault-inject a capture (bit flips in checksum-protected headers,
-///       snapped records, corrupt length fields) to exercise lenient mode.
-///
-///   ftclust evaluate <protocol> <messages> [--segmenter NAME] [--seed N]
-///       Generate a trace with ground truth and report clustering quality
-///       (precision, recall, F1/4, coverage) for the chosen segmentation
-///       ("true" = ground-truth fields).
+///   ftclust generate <protocol> <messages> <out.pcap>
+///   ftclust corrupt <in.pcap> <out.pcap>
+///   ftclust evaluate <protocol> <messages>
+///       Synthesize a trace of a built-in protocol; fault-inject a capture
+///       to exercise lenient mode; score a segmentation ("true" = ground
+///       truth) by precision, recall, F1/4 and coverage.
 #include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
 
-#include "ckpt/manager.hpp"
+#include "cli_flags.hpp"
 #include "core/metrics.hpp"
 #include "core/pipeline.hpp"
 #include "core/report.hpp"
@@ -123,14 +61,13 @@
 #include "dissim/neighborhood.hpp"
 #include "mem/mem.hpp"
 #include "obs/export.hpp"
-#include "obs/httpd.hpp"
 #include "obs/obs.hpp"
 #include "obs/sampler.hpp"
-#include "pcap/decap.hpp"
 #include "pcap/pcap.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
 #include "serve/daemon.hpp"
+#include "serve/job.hpp"
 #include "testing/alloc_fault.hpp"
 #include "testing/sock_fault.hpp"
 #include "testing/corrupter.hpp"
@@ -139,85 +76,13 @@
 #include "util/check.hpp"
 #include "util/diag.hpp"
 #include "util/interrupt.hpp"
+#include "util/net.hpp"
 #include "util/parse.hpp"
 #include "util/thread_pool.hpp"
 
 namespace {
 
 using namespace ftc;
-
-int usage() {
-    std::fputs(
-        "usage:\n"
-        "  ftclust analyze  <capture.pcap> [--segmenter NEMESYS|CSP|Netzob]\n"
-        "                   [--budget SECONDS] [--deadline-ms N] [--max-segments N]\n"
-        "                   [--max-bytes N] [--max-memory BYTES[K|M|G]]\n"
-        "                   [--strict|--lenient] [--threads N]\n"
-        "                   [--neighborhood dense|sparse|auto] [--semantics]\n"
-        "                   [--trace-out FILE] [--metrics-out FILE]\n"
-        "                   [--manifest-out FILE] [--report-out FILE]\n"
-        "                   [--checkpoint DIR] [--resume]\n"
-        "                   [--telemetry-out FILE] [--telemetry-interval-ms N]\n"
-        "                   [--progress] [--metrics-listen HOST:PORT]\n"
-        "  ftclust run      (alias for analyze)\n"
-        "  ftclust serve    --spool DIR [--listen HOST:PORT] [--sessions N]\n"
-        "                   [--queue-depth N] [--max-body BYTES[K|M|G]]\n"
-        "                   [--session-max-memory BYTES[K|M|G]]\n"
-        "                   [--io-deadline-ms N] [--retry-after SECONDS]\n"
-        "                   [--segmenter NAME] [--budget SECONDS] [--threads N]\n"
-        "                   [--neighborhood dense|sparse|auto] [--strict]\n"
-        "                   [--max-memory BYTES[K|M|G]] [--telemetry-out FILE]\n"
-        "                   [--telemetry-interval-ms N]\n"
-        "  ftclust version  [--json]\n"
-        "  ftclust generate <protocol> <messages> <out.pcap> [--seed N]\n"
-        "  ftclust corrupt  <in.pcap> <out.pcap> [--fraction F] [--seed N]\n"
-        "  ftclust evaluate <protocol> <messages> [--segmenter NAME|true] [--seed N]\n"
-        "                   [--threads N]\n"
-        "protocols: NTP DNS NBNS DHCP SMB AWDL AU\n",
-        stderr);
-    return 2;
-}
-
-/// Value of "--flag value" in argv, or fallback.
-const char* flag_value(int argc, char** argv, const char* flag, const char* fallback) {
-    for (int i = 0; i + 1 < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0) {
-            return argv[i + 1];
-        }
-    }
-    return fallback;
-}
-
-bool has_flag(int argc, char** argv, const char* flag) {
-    for (int i = 0; i < argc; ++i) {
-        if (std::strcmp(argv[i], flag) == 0) {
-            return true;
-        }
-    }
-    return false;
-}
-
-/// Read a whole file into memory; the CLI digests the raw bytes for the
-/// run manifest before handing them to the pcap parser.
-byte_vector read_input_bytes(const std::string& path) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in) {
-        throw ftc::error("cannot open " + path);
-    }
-    byte_vector bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-    if (in.bad()) {
-        throw ftc::error("cannot read " + path);
-    }
-    return bytes;
-}
-
-/// All exporter outputs go through the atomic writer: a reader (or a
-/// crashed run) sees either the previous complete file or the new one,
-/// never a torn write. An unwritable target throws ftc::error, which main()
-/// turns into a non-zero exit with the diagnostic on stderr.
-void write_text_file(const char* path, const std::string& text) {
-    util::atomic_write_file(std::filesystem::path{path}, std::string_view{text});
-}
 
 /// First SIGINT/SIGTERM requests a graceful stop: one lock-free atomic
 /// store, the only thing an async-signal-safe handler may do here. Every
@@ -245,39 +110,58 @@ void install_stop_handlers() {
     (void)installed;
 }
 
-int cmd_analyze(const char* cmd_name, int argc, char** argv) {
-    if (argc < 1) {
-        return usage();
+/// The --telemetry-out / --progress sampler over \p rec, if either is on.
+/// Its status reads "error" until an exit path knows better.
+void start_sampler(std::optional<obs::sampler>& sampler, const cli::arguments& args,
+                   const obs::recorder* rec, bool progress) {
+    const char* telemetry_out = args.value("--telemetry-out");
+    if (telemetry_out == nullptr && !progress) {
+        return;
     }
-    const std::string path = argv[0];
-    const std::string segmenter_name = flag_value(argc, argv, "--segmenter", "NEMESYS");
-    double budget = util::parse_double(flag_value(argc, argv, "--budget", "120"), "--budget");
-    const double deadline_ms =
-        util::parse_double(flag_value(argc, argv, "--deadline-ms", "0"), "--deadline-ms");
-    if (deadline_ms > 0) {
-        budget = deadline_ms / 1000.0;
+    obs::sampler_options sopt;
+    sopt.telemetry_path = telemetry_out != nullptr ? telemetry_out : "";
+    const double interval_ms = args.real("--telemetry-interval-ms");
+    sopt.interval =
+        std::chrono::milliseconds(interval_ms > 0 ? static_cast<long>(interval_ms) : 500);
+    sopt.progress = progress;
+    sampler.emplace(rec, std::move(sopt));
+    sampler->set_status("error");
+}
+
+int cmd_analyze(const char* cmd_name, const cli::arguments& args) {
+    const std::string& path = args.positional[0];
+    serve::job_options job;
+    job.segmenter = args.value("--segmenter");
+    core::pipeline_options& opt = job.pipeline;
+    opt.budget_seconds = args.real("--budget");
+    if (const double deadline_ms = args.real("--deadline-ms"); deadline_ms > 0) {
+        opt.budget_seconds = deadline_ms / 1000.0;
     }
+    opt.max_segments = static_cast<std::size_t>(args.u64("--max-segments"));
+    opt.max_bytes = static_cast<std::size_t>(args.bytes("--max-bytes"));
+    opt.max_memory = static_cast<std::size_t>(args.bytes("--max-memory"));
+    opt.threads = static_cast<std::size_t>(args.u64("--threads"));
+    opt.neighborhood = dissim::parse_neighborhood_mode(args.value("--neighborhood"));
     // --strict is the default; accepting it explicitly lets scripts pin the
     // policy, and an explicit --strict wins over a stray --lenient.
-    const bool lenient =
-        has_flag(argc, argv, "--lenient") && !has_flag(argc, argv, "--strict");
+    const bool lenient = args.has("--lenient") && !args.has("--strict");
     diag::error_sink sink(lenient ? diag::policy::lenient : diag::policy::strict);
 
-    const char* trace_out = flag_value(argc, argv, "--trace-out", nullptr);
-    const char* metrics_out = flag_value(argc, argv, "--metrics-out", nullptr);
-    const char* manifest_out = flag_value(argc, argv, "--manifest-out", nullptr);
-    const char* report_out = flag_value(argc, argv, "--report-out", nullptr);
-    const char* checkpoint_dir = flag_value(argc, argv, "--checkpoint", nullptr);
-    const bool resume = has_flag(argc, argv, "--resume");
-    if (resume && checkpoint_dir == nullptr) {
-        std::fputs("--resume requires --checkpoint DIR\n", stderr);
-        return usage();
+    const char* trace_out = args.value("--trace-out");
+    const char* metrics_out = args.value("--metrics-out");
+    const char* manifest_out = args.value("--manifest-out");
+    const char* report_out = args.value("--report-out");
+    const char* checkpoint_dir = args.value("--checkpoint");
+    job.resume = args.has("--resume");
+    if (job.resume && checkpoint_dir == nullptr) {
+        throw cli::usage_error("--resume requires --checkpoint DIR");
     }
-    const char* telemetry_out = flag_value(argc, argv, "--telemetry-out", nullptr);
-    const char* metrics_listen = flag_value(argc, argv, "--metrics-listen", nullptr);
-    const bool progress = has_flag(argc, argv, "--progress");
-    const double telemetry_interval_ms = util::parse_double(
-        flag_value(argc, argv, "--telemetry-interval-ms", "500"), "--telemetry-interval-ms");
+    if (checkpoint_dir != nullptr) {
+        job.checkpoint_dir = checkpoint_dir;
+    }
+    const char* telemetry_out = args.value("--telemetry-out");
+    const char* metrics_listen = args.value("--metrics-listen");
+    const bool progress = args.has("--progress");
 
     install_stop_handlers();
     // Any observability output installs the recorder; otherwise every hook
@@ -293,67 +177,42 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
     // Live observers, both RAII: the sampler's destructor runs during any
     // stack unwind out of this function, so the NDJSON stream ends with its
     // final status sample on every exit path for free; the server stops
-    // accepting the same way. Status is pessimistically "error" until an
-    // exit path below knows better.
+    // accepting the same way.
     std::optional<obs::sampler> sampler;
-    if (telemetry_out != nullptr || progress) {
-        obs::sampler_options sopt;
-        sopt.telemetry_path = telemetry_out != nullptr ? telemetry_out : "";
-        sopt.interval = std::chrono::milliseconds(
-            telemetry_interval_ms > 0 ? static_cast<long>(telemetry_interval_ms) : 500);
-        sopt.progress = progress;
-        sampler.emplace(recorder.has_value() ? &recorder->rec() : nullptr, std::move(sopt));
-        sampler->set_status("error");
-    }
-    std::optional<obs::metrics_server> scrape;
+    start_sampler(sampler, args, recorder.has_value() ? &recorder->rec() : nullptr, progress);
+    // The scrape endpoint is the serve HTTP stack with one route.
+    std::optional<serve::daemon> scrape;
     if (metrics_listen != nullptr) {
-        scrape.emplace(&recorder->rec(), obs::parse_listen_address(metrics_listen));
+        serve::daemon_options dopt;
+        dopt.listen = util::net::parse_listen_address(metrics_listen);
+        dopt.io_threads = 1;
+        scrape.emplace(serve::metrics_routes(recorder->rec()), std::move(dopt));
         std::printf("serving metrics on port %u\n", scrape->port());
     }
 
-    const byte_vector raw = read_input_bytes(path);
-    const pcap::capture cap = pcap::from_pcap_bytes(raw, sink);
-    std::vector<byte_vector> messages;
-    for (pcap::datagram& d : pcap::extract_datagrams(cap, {}, sink)) {
-        messages.push_back(std::move(d.payload));
-    }
-    std::printf("loaded %zu packets -> %zu application messages (%s mode)\n",
-                cap.packets.size(), messages.size(), lenient ? "lenient" : "strict");
-
-    core::pipeline_options opt;
-    opt.budget_seconds = budget;
-    opt.max_segments = static_cast<std::size_t>(
-        util::parse_u64(flag_value(argc, argv, "--max-segments", "0"), "--max-segments"));
-    opt.max_bytes = static_cast<std::size_t>(
-        util::parse_size_bytes(flag_value(argc, argv, "--max-bytes", "0"), "--max-bytes"));
-    opt.max_memory = static_cast<std::size_t>(util::parse_size_bytes(
-        flag_value(argc, argv, "--max-memory", "0"), "--max-memory"));
-    opt.threads = static_cast<std::size_t>(
-        util::parse_u64(flag_value(argc, argv, "--threads", "0"), "--threads"));
-    opt.neighborhood =
-        dissim::parse_neighborhood_mode(flag_value(argc, argv, "--neighborhood", "auto"));
-
-    // Install the memory governor here rather than leaving it to the
-    // pipeline: checkpoint loading below allocates matrix-sized buffers,
-    // and the resume-time layout choice (dense vs. triangular) projects
-    // against the active governor — both must run governed.
-    std::optional<mem::governor> governor;
-    if (opt.max_memory > 0) {
-        governor.emplace(opt.max_memory);
-    }
-
-    // Checkpointing hooks the pipeline's stage boundaries; the fingerprint
-    // binds every snapshot to these options and this input.
-    std::optional<ckpt::checkpoint_manager> manager;
+    byte_vector raw = util::read_file(path);
+    const std::size_t input_bytes = raw.size();
+    const std::uint64_t input_digest =
+        manifest_out != nullptr ? obs::fnv1a64(raw.data(), raw.size()) : 0;
+    std::size_t loaded_messages = 0;
     std::vector<std::string> restored_stages;
-    if (checkpoint_dir != nullptr) {
-        manager.emplace(checkpoint_dir,
-                        ckpt::fingerprint(opt, segmenter_name,
-                                          obs::fnv1a64(raw.data(), raw.size())));
-        opt.observer = &*manager;
-    }
+    serve::job_events events;
+    events.loaded = [&](std::size_t packets, std::size_t messages) {
+        loaded_messages = messages;
+        std::printf("loaded %zu packets -> %zu application messages (%s mode)\n", packets,
+                    messages, lenient ? "lenient" : "strict");
+    };
+    events.restored = [&](const std::vector<std::string>& stages) {
+        restored_stages = stages;
+        std::string joined;
+        for (const std::string& s : stages) {
+            joined += joined.empty() ? s : ", " + s;
+        }
+        std::printf("resumed from %s: restored %s\n", checkpoint_dir, joined.c_str());
+    };
 
-    // Everything a machine needs to reproduce or compare this run. The
+    // Everything a machine needs to reproduce or compare this run, written
+    // atomically like every output file (an unwritable target throws). The
     // quarantine table is read back from the obs registry (diag publishes
     // every quarantined record there), so the manifest and the CLI report
     // are views over the same counters.
@@ -365,10 +224,10 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
         const obs::trace_snapshot trace = recorder->rec().trace();
         const obs::metrics_snapshot metrics = recorder->rec().metrics().snapshot();
         if (trace_out != nullptr) {
-            write_text_file(trace_out, obs::to_chrome_trace(trace));
+            util::atomic_write_file(trace_out, obs::to_chrome_trace(trace));
         }
         if (metrics_out != nullptr) {
-            write_text_file(metrics_out, obs::to_prometheus(metrics));
+            util::atomic_write_file(metrics_out, obs::to_prometheus(metrics));
         }
         if (manifest_out == nullptr) {
             return;
@@ -377,8 +236,8 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
         m.version = util::build_version_string();
         m.command = cmd_name;
         m.options = {
-            {"segmenter", segmenter_name},
-            {"budget_seconds", std::to_string(budget)},
+            {"segmenter", job.segmenter},
+            {"budget_seconds", std::to_string(opt.budget_seconds)},
             {"max_segments", std::to_string(opt.max_segments)},
             {"max_bytes", std::to_string(opt.max_bytes)},
             {"max_memory", std::to_string(opt.max_memory)},
@@ -387,8 +246,8 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
             {"neighborhood", dissim::neighborhood_mode_name(opt.neighborhood)},
         };
         m.input_path = path;
-        m.input_bytes = raw.size();
-        m.input_digest = obs::fnv1a64(raw.data(), raw.size());
+        m.input_bytes = input_bytes;
+        m.input_digest = input_digest;
         m.threads = util::resolve_threads(opt.threads);
         m.stages = obs::collect_stages(trace);
         m.metrics = metrics;
@@ -422,121 +281,56 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
             m.min_samples = result->clustering.config.min_samples;
             m.elapsed_seconds = result->elapsed_seconds;
         }
-        write_text_file(manifest_out, obs::to_json(m));
+        util::atomic_write_file(manifest_out, obs::to_json(m));
     };
 
-    if (messages.size() < 3) {
-        std::fputs(core::render_quarantine(sink).c_str(), stdout);
-        write_outputs(nullptr, messages.size(), "error");
-        std::fputs("not enough messages to analyze\n", stderr);
-        return 1;
-    }
-
-    const auto segmenter = segmentation::make_segmenter(segmenter_name);
-
-    // Messages surviving ingestion + segmentation quarantine — whether
-    // restored from the checkpoint or produced by a fresh segmentation.
-    std::vector<byte_vector> segmented_messages;
-
-    // Resume: adopt every checkpoint snapshot that validates against the
-    // current fingerprint; a damaged or mismatched file is quarantined
-    // (category checkpoint) and only its stage recomputed.
-    core::pipeline_seed seed;
-    if (manager.has_value() && resume) {
-        ckpt::restored_state restored = manager->load(messages, sink);
-        restored_stages = restored.stages;
-        seed = std::move(restored.seed);
-        if (restored.has_segments()) {
-            segmented_messages = std::move(restored.messages);
-            manager->set_surviving(std::move(restored.surviving));
-        }
-        if (!restored_stages.empty()) {
-            std::string joined;
-            for (const std::string& s : restored_stages) {
-                joined += joined.empty() ? s : ", " + s;
-            }
-            std::printf("resumed from %s: restored %s\n", checkpoint_dir, joined.c_str());
-        }
-    }
-
-    // Lenient mode quarantines unsegmentable messages instead of aborting.
-    const deadline dl = budget > 0 ? deadline(budget) : deadline();
-    core::pipeline_result result;
+    serve::job_result done;
     try {
-        if (!seed.segments.has_value()) {
-            segmentation::lenient_segmentation segmented;
-            try {
-                segmented = segmentation::segment_lenient(*segmenter, messages, dl, sink);
-            } catch (const budget_exceeded_error& e) {
-                if (!e.partial_report().empty()) {
-                    throw;
-                }
-                // Segmenters raise bare deadline errors; attach the progress
-                // the exit handler expects so a bounded run still reports
-                // where it got — preserving the stop-request type.
-                const std::string partial =
-                    message("messages ", messages.size(), "; reached stage segmentation");
-                if (dynamic_cast<const interrupted_error*>(&e) != nullptr) {
-                    throw interrupted_error(e.what(), partial);
-                }
-                throw budget_exceeded_error(e.what(), partial);
-            }
-            segmented_messages = std::move(segmented.messages);
-            if (manager.has_value()) {
-                // The pipeline only announces stages it computes, and
-                // segmentation happened here in the CLI — snapshot it before
-                // the expensive stages start.
-                manager->set_surviving(segmented.surviving);
-                manager->on_segments(segmented_messages, segmented.segments);
-            }
-            seed.segments = std::move(segmented.segments);
+        done = serve::run_job(std::move(raw), job, sink, events);
+    } catch (const ftc::error& e) {
+        // A failed, bounded or interrupted run still leaves its trace,
+        // metrics and a manifest behind — that is when they matter most.
+        // The final checkpoint manifest (status=interrupted) was already
+        // written by the runner.
+        const char* status = "error";
+        if (dynamic_cast<const interrupted_error*>(&e) != nullptr) {
+            status = "interrupted";
+        } else if (dynamic_cast<const memory_budget_exceeded_error*>(&e) != nullptr) {
+            status = "memory-exceeded";
+        } else if (dynamic_cast<const budget_exceeded_error*>(&e) != nullptr) {
+            status = "budget-exceeded";
+        } else {
+            // Why lenient ingestion left too few messages, for instance.
+            std::fputs(core::render_quarantine(sink).c_str(), stdout);
         }
-        result = core::analyze_seeded(segmented_messages, nullptr, std::move(seed), opt);
-    } catch (const budget_exceeded_error& e) {
-        // A bounded or interrupted run still leaves its trace, metrics and
-        // a manifest behind — that is when they matter most. The final
-        // checkpoint manifest (status=interrupted) was already written by
-        // the manager's on_interrupted hook.
-        const bool stopped = dynamic_cast<const interrupted_error*>(&e) != nullptr;
-        const bool memory =
-            dynamic_cast<const memory_budget_exceeded_error*>(&e) != nullptr;
-        if (stopped && manager.has_value() && !seed.segments.has_value()) {
-            manager->on_interrupted("segmentation");
-        }
-        const char* status = stopped ? "interrupted"
-                                     : (memory ? "memory-exceeded" : "budget-exceeded");
         if (sampler.has_value()) {
             // The rethrow unwinds through the sampler's destructor, which
             // emits the final NDJSON sample carrying this status.
             sampler->set_status(status);
         }
-        write_outputs(nullptr, messages.size(), status);
+        write_outputs(nullptr, loaded_messages, status);
         throw;
     }
-    if (manager.has_value()) {
-        manager->mark_complete();
-    }
+    const core::pipeline_result& result = done.pipeline;
     std::printf("%s segmentation -> %zu unique segments -> %zu pseudo data types "
                 "(eps %.3f, min_samples %zu, %.1fs)\n",
-                segmenter_name.c_str(), result.unique.size(),
+                job.segmenter.c_str(), result.unique.size(),
                 result.final_labels.cluster_count, result.clustering.config.epsilon,
                 result.clustering.config.min_samples, result.elapsed_seconds);
-    write_outputs(&result, segmented_messages.size(), "ok");
+    write_outputs(&result, done.messages.size(), "ok");
     const std::string quarantine = core::render_quarantine(sink);
     if (!quarantine.empty()) {
         std::fputs(quarantine.c_str(), stdout);
     }
-    const std::string report = core::render_report(core::summarize_clusters(result));
     if (report_out != nullptr) {
-        write_text_file(report_out, report);
+        util::atomic_write_file(report_out, done.report);
     }
     std::fputs("\n", stdout);
-    std::fputs(report.c_str(), stdout);
+    std::fputs(done.report.c_str(), stdout);
 
-    if (has_flag(argc, argv, "--semantics")) {
+    if (args.has("--semantics")) {
         std::printf("\ndeduced semantics:\n%s",
-                    core::render_semantics(
-                        core::deduce_semantics(segmented_messages, result))
+                    core::render_semantics(core::deduce_semantics(done.messages, result))
                         .c_str());
     }
     if (sampler.has_value()) {
@@ -550,60 +344,35 @@ int cmd_analyze(const char* cmd_name, int argc, char** argv) {
 /// kill -9 costs at most the stage in flight. See src/serve/*.hpp for the
 /// architecture; this function only parses flags and owns the lifetime
 /// order (spool -> sessions -> listener, torn down in reverse).
-int cmd_serve(int argc, char** argv) {
-    const char* spool_dir = flag_value(argc, argv, "--spool", nullptr);
+int cmd_serve(const char* /*word*/, const cli::arguments& args) {
+    const char* spool_dir = args.value("--spool");
     if (spool_dir == nullptr) {
-        std::fputs("serve requires --spool DIR\n", stderr);
-        return usage();
+        throw cli::usage_error("serve requires --spool DIR");
     }
     serve::serve_options opt;
-    opt.segmenter = flag_value(argc, argv, "--segmenter", "NEMESYS");
-    opt.sessions = static_cast<std::size_t>(
-        util::parse_u64(flag_value(argc, argv, "--sessions", "2"), "--sessions"));
-    opt.queue_depth = static_cast<std::size_t>(
-        util::parse_u64(flag_value(argc, argv, "--queue-depth", "8"), "--queue-depth"));
+    opt.segmenter = args.value("--segmenter");
+    opt.sessions = static_cast<std::size_t>(args.u64("--sessions"));
+    opt.queue_depth = static_cast<std::size_t>(args.u64("--queue-depth"));
     // Serving default is lenient (quarantine per job); --strict still wins.
-    opt.lenient = !has_flag(argc, argv, "--strict");
-    opt.session_budget_seconds =
-        util::parse_double(flag_value(argc, argv, "--budget", "120"), "--budget");
-    opt.pipeline_threads = static_cast<std::size_t>(
-        util::parse_u64(flag_value(argc, argv, "--threads", "1"), "--threads"));
-    opt.neighborhood =
-        dissim::parse_neighborhood_mode(flag_value(argc, argv, "--neighborhood", "auto"));
-    opt.max_memory = static_cast<std::size_t>(util::parse_size_bytes(
-        flag_value(argc, argv, "--max-memory", "0"), "--max-memory"));
-    opt.session_max_memory = static_cast<std::size_t>(util::parse_size_bytes(
-        flag_value(argc, argv, "--session-max-memory", "0"), "--session-max-memory"));
-    opt.retry_after_seconds = static_cast<int>(
-        util::parse_u64(flag_value(argc, argv, "--retry-after", "1"), "--retry-after"));
+    opt.lenient = !args.has("--strict");
+    opt.session_budget_seconds = args.real("--budget");
+    opt.pipeline_threads = static_cast<std::size_t>(args.u64("--threads"));
+    opt.neighborhood = dissim::parse_neighborhood_mode(args.value("--neighborhood"));
+    opt.max_memory = static_cast<std::size_t>(args.bytes("--max-memory"));
+    opt.session_max_memory = static_cast<std::size_t>(args.bytes("--session-max-memory"));
+    opt.retry_after_seconds = static_cast<int>(args.u64("--retry-after"));
 
     serve::daemon_options dopt;
-    const obs::listen_address listen =
-        obs::parse_listen_address(flag_value(argc, argv, "--listen", "127.0.0.1:0"));
-    dopt.host = listen.host;
-    dopt.port = listen.port;
-    dopt.limits.max_body_bytes = static_cast<std::size_t>(util::parse_size_bytes(
-        flag_value(argc, argv, "--max-body", "64M"), "--max-body"));
-    dopt.limits.io_deadline_ms = static_cast<int>(util::parse_u64(
-        flag_value(argc, argv, "--io-deadline-ms", "5000"), "--io-deadline-ms"));
+    dopt.listen = util::net::parse_listen_address(args.value("--listen"));
+    dopt.limits.max_body_bytes = static_cast<std::size_t>(args.bytes("--max-body"));
+    dopt.limits.io_deadline_ms = static_cast<int>(args.u64("--io-deadline-ms"));
 
     install_stop_handlers();
     // The daemon always runs a recorder: /metrics serves its snapshot and
     // every serve.* counter lands in it.
     obs::scoped_recorder recorder;
     std::optional<obs::sampler> sampler;
-    const char* telemetry_out = flag_value(argc, argv, "--telemetry-out", nullptr);
-    if (telemetry_out != nullptr) {
-        obs::sampler_options sopt;
-        sopt.telemetry_path = telemetry_out;
-        const double interval_ms =
-            util::parse_double(flag_value(argc, argv, "--telemetry-interval-ms", "500"),
-                               "--telemetry-interval-ms");
-        sopt.interval =
-            std::chrono::milliseconds(interval_ms > 0 ? static_cast<long>(interval_ms) : 500);
-        sampler.emplace(&recorder.rec(), std::move(sopt));
-        sampler->set_status("error");
-    }
+    start_sampler(sampler, args, &recorder.rec(), false);
 
     serve::spool journal{std::filesystem::path{spool_dir}};
     serve::session_manager sessions(journal, opt);
@@ -614,9 +383,9 @@ int cmd_serve(int argc, char** argv) {
                     replayed == 1 ? "" : "s", spool_dir);
     }
     sessions.start();
-    serve::daemon daemon(sessions, &recorder.rec(), dopt);
+    serve::daemon daemon(serve::job_routes(sessions, &recorder.rec()), dopt);
     std::printf("serving on %s:%u (spool %s, %zu sessions, queue %zu)\n",
-                dopt.host.c_str(), daemon.port(), spool_dir, opt.sessions,
+                dopt.listen.host.c_str(), daemon.port(), spool_dir, opt.sessions,
                 opt.queue_depth);
     std::fflush(stdout);
 
@@ -633,8 +402,8 @@ int cmd_serve(int argc, char** argv) {
     return sig > 0 ? 128 + sig : 0;
 }
 
-int cmd_version(int argc, char** argv) {
-    const bool as_json = has_flag(argc, argv, "--json");
+int cmd_version(const char* /*word*/, const cli::arguments& args) {
+    const bool as_json = args.has("--json");
     const char* active = dissim::kernel::backend_name(dissim::kernel::active());
     if (as_json) {
         obs::json_writer w;
@@ -667,32 +436,26 @@ int cmd_version(int argc, char** argv) {
     return 0;
 }
 
-int cmd_corrupt(int argc, char** argv) {
-    if (argc < 2) {
-        return usage();
-    }
+int cmd_corrupt(const char* /*word*/, const cli::arguments& args) {
+    const std::string& out_path = args.positional[1];
     testing::corruption_options opt;
-    opt.fault_fraction =
-        util::parse_double(flag_value(argc, argv, "--fraction", "0.1"), "--fraction");
-    opt.seed = util::parse_u64(flag_value(argc, argv, "--seed", "1"), "--seed");
+    opt.fault_fraction = args.real("--fraction");
+    opt.seed = args.u64("--seed");
     testing::corruption_log log;
-    testing::corrupt_pcap_file(argv[0], argv[1], opt, &log);
+    testing::corrupt_pcap_file(args.positional[0], out_path, opt, &log);
     std::printf("injected %zu faults (%zu bit flips, %zu snapped, %zu corrupt lengths) "
                 "into %s\n",
                 log.faults.size(), log.count(testing::fault_kind::bit_flip),
                 log.count(testing::fault_kind::snap),
-                log.count(testing::fault_kind::length_garbage), argv[1]);
+                log.count(testing::fault_kind::length_garbage), out_path.c_str());
     return 0;
 }
 
-int cmd_generate(int argc, char** argv) {
-    if (argc < 3) {
-        return usage();
-    }
-    const std::string protocol = argv[0];
-    const auto count = static_cast<std::size_t>(util::parse_u64(argv[1], "<messages>"));
-    const std::string out_path = argv[2];
-    const auto seed = util::parse_u64(flag_value(argc, argv, "--seed", "1"), "--seed");
+int cmd_generate(const char* /*word*/, const cli::arguments& args) {
+    const std::string& protocol = args.positional[0];
+    const auto count = static_cast<std::size_t>(util::parse_u64(args.positional[1], "<messages>"));
+    const std::string& out_path = args.positional[2];
+    const auto seed = args.u64("--seed");
 
     const protocols::trace trace = protocols::generate_trace(protocol, count, seed);
     pcap::write_file(out_path, protocols::trace_to_capture(trace));
@@ -701,22 +464,18 @@ int cmd_generate(int argc, char** argv) {
     return 0;
 }
 
-int cmd_evaluate(int argc, char** argv) {
-    if (argc < 2) {
-        return usage();
-    }
-    const std::string protocol = argv[0];
-    const auto count = static_cast<std::size_t>(util::parse_u64(argv[1], "<messages>"));
-    const std::string segmenter_name = flag_value(argc, argv, "--segmenter", "true");
-    const auto seed = util::parse_u64(flag_value(argc, argv, "--seed", "1"), "--seed");
+int cmd_evaluate(const char* /*word*/, const cli::arguments& args) {
+    const std::string& protocol = args.positional[0];
+    const auto count = static_cast<std::size_t>(util::parse_u64(args.positional[1], "<messages>"));
+    const std::string segmenter_name = args.value("--segmenter");
+    const auto seed = args.u64("--seed");
 
     const protocols::trace truth = protocols::generate_trace(protocol, count, seed);
     const auto messages = segmentation::message_bytes(truth);
 
     core::pipeline_options opt;
     opt.budget_seconds = 120;
-    opt.threads = static_cast<std::size_t>(
-        util::parse_u64(flag_value(argc, argv, "--threads", "0"), "--threads"));
+    opt.threads = static_cast<std::size_t>(args.u64("--threads"));
     core::pipeline_result result = [&] {
         if (segmenter_name == "true") {
             return core::analyze_segments(messages,
@@ -741,9 +500,6 @@ int cmd_evaluate(int argc, char** argv) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    if (argc < 2) {
-        return usage();
-    }
     try {
         // Deterministic allocation-fault injection for robustness testing:
         // inert unless FTC_ALLOC_FAIL_NTH / FTC_ALLOC_FAIL_ABOVE_BYTES is set.
@@ -751,26 +507,20 @@ int main(int argc, char** argv) {
         // Same contract for socket/spool faults: inert unless
         // FTC_SOCK_FAIL_NTH / FTC_SOCK_FAIL_KIND is set.
         ftc::testing::arm_sock_faults_from_env();
-        const std::string cmd = argv[1];
-        if (cmd == "analyze" || cmd == "run") {
-            return cmd_analyze(cmd.c_str(), argc - 2, argv + 2);
+        const std::optional<cli::command> cmd =
+            cli::find_command(argc < 2 ? "" : argv[1]);
+        if (!cmd.has_value()) {
+            throw cli::usage_error(argc < 2 ? "missing subcommand"
+                                            : std::string("unknown subcommand ") + argv[1]);
         }
-        if (cmd == "serve") {
-            return cmd_serve(argc - 2, argv + 2);
-        }
-        if (cmd == "generate") {
-            return cmd_generate(argc - 2, argv + 2);
-        }
-        if (cmd == "corrupt") {
-            return cmd_corrupt(argc - 2, argv + 2);
-        }
-        if (cmd == "evaluate") {
-            return cmd_evaluate(argc - 2, argv + 2);
-        }
-        if (cmd == "version" || cmd == "--version") {
-            return cmd_version(argc - 2, argv + 2);
-        }
-        return usage();
+        const cli::arguments args = cli::parse(*cmd, argc - 2, argv + 2);
+        // Indexed by cli::command; each gets the word it was invoked as.
+        constexpr int (*kRun[])(const char*, const cli::arguments&) = {
+            cmd_analyze, cmd_serve, cmd_version, cmd_generate, cmd_corrupt, cmd_evaluate};
+        return kRun[static_cast<std::size_t>(*cmd)](argv[1], args);
+    } catch (const cli::usage_error& e) {
+        std::fprintf(stderr, "error: %s\n%s", e.what(), cli::usage().c_str());
+        return 2;
     } catch (const ftc::interrupted_error& e) {
         std::fprintf(stderr, "interrupted: %s\n", e.what());
         if (!e.partial_report().empty()) {
