@@ -1,4 +1,4 @@
-// Canberra kernel throughput: scalar reference vs LUT vs SIMD backends on
+// Canberra kernel throughput: scalar reference vs LUT backend on
 // the DNS/DHCP unique-segment workloads (the pair population the pipeline's
 // dissimilarity matrix computes). The timed region is kernel work only: the
 // batch schedule — the same length-bucketed, batched visit order
@@ -158,11 +158,8 @@ workload_result run_workload(const std::string& protocol, std::size_t messages) 
 
     const std::vector<kernel_job> jobs = build_schedule(values);
 
-    std::vector<dissim::kernel::backend> backends{dissim::kernel::backend::scalar,
-                                                  dissim::kernel::backend::lut};
-    if (dissim::kernel::simd_available()) {
-        backends.push_back(dissim::kernel::backend::simd);
-    }
+    constexpr dissim::kernel::backend backends[] = {dissim::kernel::backend::scalar,
+                                                    dissim::kernel::backend::lut};
 
     const std::size_t reps = workload_reps();
     std::vector<double> results(out.pairs, 0.0);
@@ -218,10 +215,6 @@ bool write_json(const std::vector<workload_result>& workloads) {
     w.end_object();
     w.key("seed");
     w.value(static_cast<std::uint64_t>(bench::kBenchSeed));
-    w.key("simd_compiled");
-    w.value(dissim::kernel::simd_compiled());
-    w.key("simd_available");
-    w.value(dissim::kernel::simd_available());
     w.key("workloads");
     w.begin_array();
     for (const workload_result& wl : workloads) {

@@ -23,18 +23,11 @@
 ///    four) consecutive windows at once and the batch entry points below
 ///    compute up to eight pairs at once, every individual chain still in
 ///    scalar element order. This is where most of the speedup comes from.
-///  - **SIMD backend** (`-DFTC_SIMD=ON`, x86-64). AVX2 variants of the same
-///    loops: the multi-window batches put one window per vector lane
-///    (vertical adds keep each lane a strictly in-order chain) and the
-///    single-row path gathers four LUT terms per instruction, folding them
-///    in element order — which is what keeps both admissible under the
-///    bitwise-identity contract. Selected at runtime only when the CPU
-///    supports AVX2; everything else falls back to the portable LUT loop.
 ///
 /// Complexity per pair (m = shorter length, n = longer): equal path
 /// O(m) adds, no divides; sliding path O(m·(n−m+1)) worst case, typically
-/// far less because of pruning; all backends O(1) extra space beyond the
-/// shared table. Results of every backend are in [0, 1] and bitwise equal
+/// far less because of pruning; both backends O(1) extra space beyond the
+/// shared table. Results of both backends are in [0, 1] and bitwise equal
 /// to ftc::dissim::sliding_canberra_dissimilarity
 /// (tests/test_dissim_kernel.cpp proves this property-wise and end to end).
 #pragma once
@@ -48,32 +41,21 @@ namespace ftc::dissim::kernel {
 
 /// Selectable kernel implementations.
 ///  - scalar: the reference per-byte divide loop (canberra.cpp), full
-///    window sums, no pruning — the semantics-defining baseline.
-///  - lut:    portable table-driven loop with window pruning.
-///  - simd:   AVX2 gather variant of the LUT loop (same summation order).
-enum class backend { scalar, lut, simd };
+///    window sums, no pruning — the semantics-defining baseline and the
+///    differential oracle of the tests and bench_kernel.
+///  - lut:    portable table-driven loop with window pruning (the default).
+enum class backend { scalar, lut };
 
-/// Stable lower-case name of a backend ("scalar", "lut", "simd").
+/// Stable lower-case name of a backend ("scalar", "lut").
 const char* backend_name(backend b);
 
-/// True when this build compiled the SIMD translation unit
-/// (-DFTC_SIMD=ON on a supported architecture).
-bool simd_compiled();
-
-/// True when the SIMD backend is compiled in *and* the running CPU
-/// supports it (AVX2). When false, forcing backend::simd throws.
-bool simd_available();
-
-/// The backend the dispatcher currently resolves to. Defaults to the best
-/// available one: simd when simd_available(), else lut.
+/// The backend the dispatcher currently resolves to (lut unless forced).
 backend active();
 
-/// Force a specific backend (tests, benches). Throws
-/// ftc::precondition_error when \p b is backend::simd but
-/// simd_available() is false.
+/// Force a specific backend (tests, benches).
 void force(backend b);
 
-/// Restore the default dispatch choice (best available backend).
+/// Restore the default backend (lut).
 void reset();
 
 /// RAII backend override: forces \p b for the enclosing scope and restores

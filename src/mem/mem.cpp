@@ -28,7 +28,7 @@ std::atomic<std::uint64_t> g_fail_above{0};
 // process-global: the serve daemon runs concurrent sessions on separate
 // worker threads, each under its own nested governor, and a shared pointer
 // stack would interleave their install/restore pairs. Tracked charges are
-// coarse coordinator-thread allocations (see testing/alloc_fault.hpp), so
+// coarse coordinator-thread allocations (see testing/fault_plan.hpp), so
 // the thread that installs a governor is the thread whose charges it must
 // govern; cross-thread ceilings are the admission controller's job.
 thread_local governor* t_governor = nullptr;

@@ -28,7 +28,7 @@
 ///    the Nth tracked charge — or every charge past a byte high-water mark —
 ///    fail with the same typed error, so tests can prove that every stage
 ///    either completes, degrades, or exits cleanly from any allocation site
-///    (ftc::testing::alloc_fault_injector is the RAII front end).
+///    (ftc::testing::scoped_plan is the RAII front end).
 ///
 /// Live gauges `mem.tracked_bytes` / `mem.tracked_bytes_peak` and the
 /// counter `mem.tracked_allocs_total` are published through ftc::obs;
@@ -68,7 +68,7 @@ void reset_peak() noexcept;
 void publish_gauges() noexcept;
 
 // ---------------------------------------------------------------------------
-// Fault injection (see ftc::testing::alloc_fault_injector)
+// Fault injection (see ftc::testing::scoped_plan)
 // ---------------------------------------------------------------------------
 
 /// Deterministic allocation-fault plan; zero fields mean "disabled".

@@ -196,16 +196,11 @@ void span::end() noexcept {
     buf_->spans.push_back(std::move(record));
 }
 
-scoped_recorder::scoped_recorder() {
-#ifndef FTC_OBS_DISABLE
-    previous_ = detail::g_recorder.exchange(&rec_, std::memory_order_acq_rel);
-#endif
-}
+scoped_recorder::scoped_recorder()
+    : previous_(detail::g_recorder.exchange(&rec_, std::memory_order_acq_rel)) {}
 
 scoped_recorder::~scoped_recorder() {
-#ifndef FTC_OBS_DISABLE
     detail::g_recorder.store(previous_, std::memory_order_release);
-#endif
 }
 
 std::uint64_t peak_rss_bytes() {

@@ -67,8 +67,8 @@ std::string render_progress_line(const progress_snapshot& p, const progress_esti
 class sampler {
 public:
     /// \p rec is the recorder to snapshot counters/gauges from; may be
-    /// nullptr (e.g. under FTC_OBS_DISABLE), in which case samples carry
-    /// only time, memory and progress. Not owned; must outlive the sampler.
+    /// nullptr, in which case samples carry only time, memory and progress.
+    /// Not owned; must outlive the sampler.
     sampler(const recorder* rec, sampler_options options);
 
     /// Joins the thread and flushes the final sample (idempotent with a

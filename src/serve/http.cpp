@@ -151,6 +151,20 @@ read_status read_request(int fd, const http_limits& limits, http_request& out) {
     if (already > content_length) {
         return read_status::bad_request;  // more body than announced
     }
+    // A client that waits for the go-ahead before its body (curl -T sends
+    // Expect: 100-continue) gets it now; an over-limit one got too_large
+    // above, before any body was read.
+    if (already == 0 && content_length > 0) {
+        const std::string* expect = find_header(out, "expect");
+        if (expect != nullptr && lowercase(*expect) == "100-continue") {
+            constexpr std::string_view kContinue = "HTTP/1.1 100 Continue\r\n\r\n";
+            const io_result r = util::net::write_all(fd, kContinue.data(), kContinue.size(),
+                                                     limits.io_deadline_ms);
+            if (!r.ok()) {
+                return map_failure(r);
+            }
+        }
+    }
     out.body.assign(buf.begin() + static_cast<std::ptrdiff_t>(body_start), buf.end());
     out.body.reserve(static_cast<std::size_t>(content_length));
     while (out.body.size() < content_length) {

@@ -14,6 +14,9 @@
 ///    too_large), never an allocation blowup;
 ///  - a peer that trickles bytes slower than the deadline (slow-loris) is
 ///    a `timeout` outcome and the connection is dropped;
+///  - a request carrying `Expect: 100-continue` whose body fits the cap
+///    gets `HTTP/1.1 100 Continue` before its body is read, so clients
+///    that wait for it (curl -T) do not stall on their expect timeout;
 ///  - responses are HTTP/1.0 `Connection: close` with an exact
 ///    Content-Length, written with the same retry loops — a response is
 ///    complete or the connection is visibly dead, never silently truncated.

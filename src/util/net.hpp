@@ -25,7 +25,7 @@
 /// Nth operation of the targeted domain observe a short transfer, a
 /// simulated EINTR, a peer reset, or a stalled deadline — so tests can
 /// sweep N across a session and prove every failure path unwinds typed
-/// (ftc::testing::sock_fault_injector is the RAII front end).
+/// (ftc::testing::scoped_plan is the RAII front end).
 #pragma once
 
 #include <cstddef>
@@ -35,7 +35,7 @@
 namespace ftc::util::net {
 
 // ---------------------------------------------------------------------------
-// Fault injection (see ftc::testing::sock_fault_injector)
+// Fault injection (see ftc::testing::scoped_plan)
 // ---------------------------------------------------------------------------
 
 /// The operation domains the fault plan can target.

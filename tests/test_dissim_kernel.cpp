@@ -1,8 +1,8 @@
 // Bitwise-identity and pruning-correctness proof for the optimized Canberra
-// kernel layer (dissim/kernel.hpp, DESIGN.md §9): every backend — scalar
-// reference, portable LUT, SIMD when available — must produce bit-for-bit
-// the same dissimilarities, matrices and final clusterings, serial and
-// parallel, and early-exit pruning must never change d_min.
+// kernel layer (dissim/kernel.hpp, DESIGN.md §9): both backends — scalar
+// reference and portable LUT — must produce bit-for-bit the same
+// dissimilarities, matrices and final clusterings, serial and parallel,
+// and early-exit pruning must never change d_min.
 #include "dissim/kernel.hpp"
 
 #include <gtest/gtest.h>
@@ -25,14 +25,8 @@ namespace {
 
 constexpr std::uint64_t kSeed = 20220627;
 
-/// Backends to sweep: scalar and LUT always, SIMD when this build/CPU has it.
-std::vector<kernel::backend> available_backends() {
-    std::vector<kernel::backend> out{kernel::backend::scalar, kernel::backend::lut};
-    if (kernel::simd_available()) {
-        out.push_back(kernel::backend::simd);
-    }
-    return out;
-}
+/// Backends to sweep: the scalar oracle and the LUT fast path.
+constexpr kernel::backend kBackends[] = {kernel::backend::scalar, kernel::backend::lut};
 
 /// Bitwise double equality (EXPECT_EQ on doubles compares values, which is
 /// what we want here — all results are finite and never -0.0 — but memcmp
@@ -58,19 +52,12 @@ TEST(KernelDispatch, ReportsAndForcesBackends) {
     EXPECT_EQ(kernel::active(), kernel::backend::scalar);
     kernel::force(kernel::backend::lut);
     EXPECT_EQ(kernel::active(), kernel::backend::lut);
-    if (!kernel::simd_available()) {
-        EXPECT_THROW(kernel::force(kernel::backend::simd), precondition_error);
-    } else {
-        kernel::force(kernel::backend::simd);
-        EXPECT_EQ(kernel::active(), kernel::backend::simd);
-    }
+    kernel::force(kernel::backend::scalar);
     kernel::reset();
-    EXPECT_EQ(kernel::active(),
-              kernel::simd_available() ? kernel::backend::simd : kernel::backend::lut);
+    EXPECT_EQ(kernel::active(), kernel::backend::lut);
     kernel::force(original);
     EXPECT_STREQ(kernel::backend_name(kernel::backend::scalar), "scalar");
     EXPECT_STREQ(kernel::backend_name(kernel::backend::lut), "lut");
-    EXPECT_STREQ(kernel::backend_name(kernel::backend::simd), "simd");
 }
 
 TEST(KernelDispatch, ScopedBackendRestores) {
@@ -122,7 +109,7 @@ TEST_P(KernelBitwiseProps, AllBackendsMatchScalarBitwise) {
                 break;
         }
         const double reference = sliding_canberra_dissimilarity(a, b);
-        for (kernel::backend be : available_backends()) {
+        for (kernel::backend be : kBackends) {
             kernel::scoped_backend forced(be);
             const double d = kernel::sliding_dissimilarity(a, b);
             ASSERT_TRUE(same_bits(d, reference))
@@ -176,7 +163,7 @@ TEST(KernelPruning, RandomizedPruningNeverChangesResult) {
         const byte_vector l = rand.bytes(static_cast<std::size_t>(s.size()) + 1 +
                                          rand.uniform(0, 96));
         const double reference = sliding_canberra_dissimilarity(s, l);
-        for (kernel::backend be : available_backends()) {
+        for (kernel::backend be : kBackends) {
             kernel::scoped_backend forced(be);
             kernel::stats st;
             ASSERT_TRUE(same_bits(kernel::sliding_dissimilarity(s, l, &st), reference))
@@ -223,7 +210,7 @@ TEST(KernelBatch, EqualBatchBitwiseMatchesSingleCalls) {
             std::fill(partners[0].begin(), partners[0].end(), std::uint8_t{0});
         }
         std::vector<byte_view> views(partners.begin(), partners.end());
-        for (kernel::backend be : available_backends()) {
+        for (kernel::backend be : kBackends) {
             kernel::scoped_backend forced(be);
             double out[kernel::kEqualBatch];
             kernel::stats st;
@@ -254,7 +241,7 @@ TEST(KernelBatch, SlidingBatchBitwiseMatchesSingleCalls) {
                                                         rand.uniform(0, 63))));
         }
         std::vector<byte_view> views(partners.begin(), partners.end());
-        for (kernel::backend be : available_backends()) {
+        for (kernel::backend be : kBackends) {
             kernel::scoped_backend forced(be);
             double out[kernel::kSlideBatch];
             kernel::stats st;
@@ -304,7 +291,7 @@ TEST(KernelMatrix, BitwiseIdenticalAcrossBackendsAndThreadCounts) {
         ASSERT_GE(values.size(), 10u) << protocol;
         kernel::scoped_backend scalar_ref(kernel::backend::scalar);
         const dissimilarity_matrix reference(values, {}, 1);
-        for (kernel::backend be : available_backends()) {
+        for (kernel::backend be : kBackends) {
             kernel::scoped_backend forced(be);
             for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
                 const dissimilarity_matrix m(values, {}, threads);
@@ -365,7 +352,7 @@ TEST(KernelPipeline, FinalClusteringIdenticalAcrossBackends) {
     kernel::scoped_backend scalar_ref(kernel::backend::scalar);
     const core::pipeline_result reference = core::analyze(messages, segmenter, options);
 
-    for (kernel::backend be : available_backends()) {
+    for (kernel::backend be : kBackends) {
         kernel::scoped_backend forced(be);
         for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
             options.threads = threads;

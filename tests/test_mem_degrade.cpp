@@ -335,10 +335,8 @@ TEST(MemDegrade, RangePrefetchIsSkippedWhenItsBitsDoNotFit) {
     }
     expect_identical(baseline, capped);
     EXPECT_LE(capped.peak_bytes, opt.max_memory);
-#ifndef FTC_OBS_DISABLE
     EXPECT_GT(uncapped_prefetches, 0u);
     EXPECT_EQ(capped_prefetches, 0u);
-#endif
 }
 
 TEST(MemDegrade, ImpossibleBudgetFailsWithTypedPartialProgress) {

@@ -1,4 +1,4 @@
-// Allocation-fault injection sweep (testing/alloc_fault.hpp): with the Nth
+// Allocation-fault injection sweep (testing/fault_plan.hpp): with the Nth
 // tracked allocation failing, for every reachable N, the pipeline must
 // either complete with output identical to the fault-free run or unwind
 // with the typed memory error — never crash, never leak (CI runs this
@@ -13,7 +13,7 @@
 #include "mem/mem.hpp"
 #include "protocols/registry.hpp"
 #include "segmentation/segment.hpp"
-#include "testing/alloc_fault.hpp"
+#include "testing/fault_plan.hpp"
 #include "util/check.hpp"
 #include "util/diag.hpp"
 
@@ -60,8 +60,7 @@ TEST(AllocFaults, EveryTrackedSiteUnwindsCleanly) {
     std::size_t unwound = 0;
     for (const std::uint64_t nth : ordinals) {
         const std::uint64_t entry_bytes = mem::current_bytes();
-        const testing::alloc_fault_injector inject =
-            testing::alloc_fault_injector::fail_nth(nth);
+        const testing::scoped_plan inject{mem::fault_plan{.fail_nth = nth}};
         try {
             const core::pipeline_result r =
                 core::analyze_segments(s.messages, s.segments);
@@ -92,8 +91,7 @@ TEST(AllocFaults, HardCeilingUnwindsCleanly) {
     // must not fire at all.
     for (const std::uint64_t ceiling : {peak / 2, peak * 2}) {
         const std::uint64_t entry_bytes = mem::current_bytes();
-        const testing::alloc_fault_injector inject =
-            testing::alloc_fault_injector::fail_above(ceiling);
+        const testing::scoped_plan inject{mem::fault_plan{.fail_above_bytes = ceiling}};
         try {
             const core::pipeline_result r =
                 core::analyze_segments(s.messages, s.segments);
@@ -118,8 +116,7 @@ TEST(AllocFaults, CheckpointFilesNeverTorn) {
     for (const std::uint64_t nth : {1ull, 9ull, 33ull, 61ull, 97ull}) {
         fs::remove_all(dir);
         {
-            const testing::alloc_fault_injector inject =
-                testing::alloc_fault_injector::fail_nth(nth);
+            const testing::scoped_plan inject{mem::fault_plan{.fail_nth = nth}};
             try {
                 ckpt::checkpoint_manager manager(dir, fp);
                 manager.on_segments(s.messages, s.segments);

@@ -10,7 +10,7 @@
 #include <thread>
 #include <utility>
 
-#include "testing/alloc_fault.hpp"
+#include "testing/fault_plan.hpp"
 #include "util/error.hpp"
 
 namespace ftc::mem {
@@ -116,7 +116,7 @@ TEST(MemBuffer, ResizeChargesGovernorAndFaultPlanLikeVector) {
         EXPECT_THROW(b.resize(1024), memory_budget_exceeded_error);
         EXPECT_EQ(current_bytes(), base.bytes);
     }
-    const testing::alloc_fault_injector inject = testing::alloc_fault_injector::fail_nth(1);
+    const testing::scoped_plan inject{mem::fault_plan{.fail_nth = 1}};
     mem::buffer<std::uint64_t> b;
     EXPECT_THROW(b.resize(16), memory_budget_exceeded_error);
     EXPECT_TRUE(b.empty());
@@ -196,7 +196,7 @@ TEST(Governor, WouldExceedFalseWithoutGovernor) {
 }
 
 TEST(FaultPlan, FailNthTripsExactlyOnce) {
-    const testing::alloc_fault_injector inject = testing::alloc_fault_injector::fail_nth(3);
+    const testing::scoped_plan inject{mem::fault_plan{.fail_nth = 3}};
     EXPECT_NO_THROW({ const charge a(1, "test"); });
     EXPECT_NO_THROW({ const charge b(1, "test"); });
     EXPECT_THROW({ const charge c(1, "test"); }, memory_budget_exceeded_error);
@@ -206,8 +206,7 @@ TEST(FaultPlan, FailNthTripsExactlyOnce) {
 
 TEST(FaultPlan, FailAboveBytesActsAsHardCeiling) {
     const baseline base;
-    const testing::alloc_fault_injector inject =
-        testing::alloc_fault_injector::fail_above(base.bytes + 100);
+    const testing::scoped_plan inject{mem::fault_plan{.fail_above_bytes = base.bytes + 100}};
     EXPECT_NO_THROW({
         const charge ok(50, "test");
     });
@@ -221,8 +220,7 @@ TEST(FaultPlan, FailAboveBytesActsAsHardCeiling) {
 TEST(FaultPlan, InjectorRestoresPreviousPlanOnDestruction) {
     ASSERT_FALSE(get_fault_plan().armed());
     {
-        const testing::alloc_fault_injector inject =
-            testing::alloc_fault_injector::fail_nth(1000);
+        const testing::scoped_plan inject{mem::fault_plan{.fail_nth = 1000}};
         EXPECT_TRUE(get_fault_plan().armed());
         EXPECT_EQ(get_fault_plan().fail_nth, 1000u);
     }

@@ -18,7 +18,7 @@ std::string report(double f_score, double elapsed, bool failed = false) {
       "bench": "table1",
       "meta": {"git_sha": "abc123def456", "timestamp": "2026-08-09T00:00:00Z",
                "hostname": "ci", "build_type": "Release",
-               "kernel_backend": "avx2", "threads": 8},
+               "kernel_backend": "lut", "threads": 8},
       "runs": [
         {"label": "dns/100", "failed": FAILED, "f_score": FSCORE,
          "precision": 0.9, "recall": 0.85, "coverage": 0.8,
@@ -43,7 +43,7 @@ TEST(ObsBenchdiff, ParsesReportAndMeta) {
     EXPECT_EQ(f.path, "BENCH_table1.json");
     EXPECT_EQ(f.meta.git_sha, "abc123def456");
     EXPECT_EQ(f.meta.hostname, "ci");
-    EXPECT_EQ(f.meta.kernel_backend, "avx2");
+    EXPECT_EQ(f.meta.kernel_backend, "lut");
     EXPECT_EQ(f.meta.threads, 8u);
     ASSERT_EQ(f.runs.size(), 2u);
     EXPECT_EQ(f.runs[0].label, "dns/100");

@@ -1,4 +1,4 @@
-// Deterministic socket/spool fault sweep (testing/sock_fault.hpp): with
+// Deterministic socket/spool fault sweep (testing/fault_plan.hpp): with
 // the Nth server-side I/O operation faulted — short transfer, spurious
 // EINTR, connection reset, slow-loris stall, spool corruption — every
 // ordinal must end in a completed, reference-identical session or a
@@ -13,7 +13,7 @@
 
 #include "serve/daemon.hpp"
 #include "serve_test_util.hpp"
-#include "testing/sock_fault.hpp"
+#include "testing/fault_plan.hpp"
 #include "util/net.hpp"
 
 namespace ftc::serve {
@@ -28,6 +28,7 @@ using serve_test::http_post;
 using serve_test::response_body;
 using serve_test::response_status;
 using util::net::io_fault;
+using util::net::io_fault_plan;
 
 std::string slurp(const fs::path& path) {
     std::ifstream in(path, std::ios::binary);
@@ -61,8 +62,7 @@ bool faulted_exchange(const fs::path& dir, const byte_vector& capture,
 
     std::uint64_t job = 0;
     {
-        const testing::sock_fault_injector inject =
-            testing::sock_fault_injector::fail_nth(nth, kind);
+        const testing::scoped_plan inject{io_fault_plan{.fail_nth = nth, .kind = kind}};
         const std::string response = http_post(server.port(), "/jobs", capture);
         // Reset/stall faults may kill this exchange before the ack — that
         // is the client's problem (it saw the failure); the daemon must
@@ -152,8 +152,8 @@ TEST(ServeFaults, SpoolCorruptionIsCaughtByDigestAndFailsTyped) {
     // Ordinal 1: the first spool write is corrupted — the session must
     // catch it via the payload digest and fail typed, not analyze rot.
     {
-        const testing::sock_fault_injector inject =
-            testing::sock_fault_injector::fail_nth(1, io_fault::corrupt_spool);
+        const testing::scoped_plan inject{
+            io_fault_plan{.fail_nth = 1, .kind = io_fault::corrupt_spool}};
         ASSERT_EQ(response_status(http_post(server.port(), "/jobs", capture)), 202);
     }
     sessions.drain();
@@ -165,14 +165,24 @@ TEST(ServeFaults, SpoolCorruptionIsCaughtByDigestAndFailsTyped) {
     // Ordinal beyond the exchange's spool writes: nothing fires, the next
     // job completes normally on the same daemon.
     {
-        const testing::sock_fault_injector inject =
-            testing::sock_fault_injector::fail_nth(5, io_fault::corrupt_spool);
+        const testing::scoped_plan inject{
+            io_fault_plan{.fail_nth = 5, .kind = io_fault::corrupt_spool}};
         ASSERT_EQ(response_status(http_post(server.port(), "/jobs", capture)), 202);
     }
     sessions.drain();
     EXPECT_EQ(sessions.status(2)->state, job_state::done);
     EXPECT_EQ(response_status(http_get(server.port(), "/healthz")), 200);
     fs::remove_all(dir);
+}
+
+TEST(ServeFaults, ScopedPlanRestoresPreviousIoPlan) {
+    ASSERT_FALSE(util::net::get_io_fault_plan().armed());
+    {
+        const testing::scoped_plan inject{io_fault_plan{.fail_nth = 2, .kind = io_fault::reset}};
+        EXPECT_TRUE(util::net::get_io_fault_plan().armed());
+        EXPECT_EQ(util::net::get_io_fault_plan().fail_nth, 2u);
+    }
+    EXPECT_FALSE(util::net::get_io_fault_plan().armed());
 }
 
 TEST(ServeFaults, EnvArmingMatchesExplicitPlans) {

@@ -7,6 +7,7 @@
 #include <thread>
 
 #if defined(__unix__) || defined(__APPLE__)
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 #endif
@@ -99,12 +100,17 @@ TEST(ServeHttp, OversizedHeadAndBodyAreTooLarge) {
     }
     limits = http_limits{};
     limits.max_body_bytes = 8;
-    {
+    // Announcing more than the cap is refused before any body read, and
+    // a client waiting on Expect: 100-continue gets no go-ahead first.
+    for (const char* head : {"POST /jobs HTTP/1.0\r\nContent-Length: 9\r\n\r\n",
+                             "POST /jobs HTTP/1.1\r\nContent-Length: 9\r\n"
+                             "Expect: 100-continue\r\n\r\n"}) {
         sock_pair pair;
-        // Announcing more than the cap is refused before any body read.
-        pair.send_text("POST /jobs HTTP/1.0\r\nContent-Length: 9\r\n\r\n");
+        pair.send_text(head);
         http_request request;
         EXPECT_EQ(read_request(pair.fds[1], limits, request), read_status::too_large);
+        char c = 0;
+        EXPECT_EQ(::recv(pair.fds[0], &c, 1, MSG_DONTWAIT), -1) << head;  // nothing written
     }
 }
 
@@ -123,6 +129,31 @@ TEST(ServeHttp, SlowLorisTimesOutOnTheSharedHeadDeadline) {
     http_request request;
     EXPECT_EQ(read_request(pair.fds[1], limits, request), read_status::timeout);
     dribbler.join();
+}
+
+TEST(ServeHttp, ExpectContinueGetsInterimResponseBeforeBody) {
+    sock_pair pair;
+    std::string interim;
+    std::thread client([&] {
+        pair.send_text("POST /jobs HTTP/1.1\r\nContent-Length: 5\r\n"
+                       "Expect: 100-continue\r\n\r\n");
+        // Like curl -T: hold the body back until the go-ahead, or until a
+        // bounded wait gives up on it.
+        pollfd pfd{pair.fds[0], POLLIN, 0};
+        if (::poll(&pfd, 1, 2000) == 1) {
+            char buf[64];
+            const ssize_t n = ::recv(pair.fds[0], buf, sizeof buf, 0);
+            if (n > 0) {
+                interim.assign(buf, static_cast<std::size_t>(n));
+            }
+        }
+        pair.send_text("hello");
+    });
+    http_request request;
+    EXPECT_EQ(read_request(pair.fds[1], http_limits{}, request), read_status::ok);
+    client.join();
+    EXPECT_EQ(interim, "HTTP/1.1 100 Continue\r\n\r\n");
+    EXPECT_EQ(std::string(request.body.begin(), request.body.end()), "hello");
 }
 
 TEST(ServeHttp, PeerDisappearingMidBodyIsEof) {

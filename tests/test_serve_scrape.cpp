@@ -1,8 +1,7 @@
 // The --metrics-listen scrape endpoint: the serve daemon's accept loop
 // running metrics_routes. Address parsing, end-to-end HTTP GETs over a
 // real socket against an ephemeral port, 404 for every other request, and
-// clean idempotent shutdown. The registry is poked directly (recorder
-// exists even under FTC_OBS_DISABLE), so the suite runs on every build.
+// clean idempotent shutdown. The registry is poked directly.
 #include <gtest/gtest.h>
 
 #include <string>

@@ -68,8 +68,7 @@
 #include "segmentation/segment.hpp"
 #include "serve/daemon.hpp"
 #include "serve/job.hpp"
-#include "testing/alloc_fault.hpp"
-#include "testing/sock_fault.hpp"
+#include "testing/fault_plan.hpp"
 #include "testing/corrupter.hpp"
 #include "util/atomic_file.hpp"
 #include "util/build_info.hpp"
@@ -416,10 +415,6 @@ int cmd_version(const char* /*word*/, const cli::arguments& args) {
         w.value(util::build_git_sha());
         w.key("build_type");
         w.value(util::build_type());
-        w.key("simd_compiled");
-        w.value(dissim::kernel::simd_compiled());
-        w.key("simd_available");
-        w.value(dissim::kernel::simd_available());
         w.key("kernel_backend");
         w.value(active);
         w.end_object();
@@ -428,11 +423,7 @@ int cmd_version(const char* /*word*/, const cli::arguments& args) {
     }
     std::printf("ftclust %s (%s, %s build)\n", util::build_version(),
                 util::build_git_sha(), util::build_type());
-    std::printf("kernel backend: %s (simd %s)\n", active,
-                dissim::kernel::simd_available()
-                    ? "available"
-                    : (dissim::kernel::simd_compiled() ? "compiled, cpu lacks avx2"
-                                                       : "not compiled"));
+    std::printf("kernel backend: %s\n", active);
     return 0;
 }
 
